@@ -3,8 +3,9 @@
 Subcommands: decompose (closed formulas), oracle (brute force),
 compare (both, with a diff), table (classification table for the
 depth-two shapes), lr (a single Littlewood-Richardson coefficient).
-Output is deterministic: identical invocations print identical bytes.
-Timings, when requested, go to stderr.
+Each subcommand returns a JSON payload or its text or CSV lines, and
+main prints them. Output is deterministic: identical invocations print
+identical bytes. Timings, when requested, go to stderr.
 """
 
 from __future__ import annotations
@@ -14,25 +15,16 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Sequence
 
-from .errors import (
-    InvalidShapeError,
-    PartitionParseError,
-    ResourceBoundError,
-    UnsupportedShapeError,
-)
+from .errors import FoulkesError, PartitionParseError, ResourceBoundError
 from .expansions import SchurExpansion, total_dimension
 from .formulas import (
+    METHODS,
     TABLE_NU_KINDS,
-    omega_dual,
-    phi_hook,
-    phi_one_column,
-    phi_one_row,
-    phi_two_column,
-    phi_two_row,
+    decompose,
     table_multiplicity,
+    table_nu,
     table_row_class,
 )
 from .lr import lr_coefficient
@@ -44,319 +36,160 @@ from .partitions import (
     parse_partition,
 )
 
-_METHODS = ("auto", "two-row", "two-column", "hook-first", "hook-second", "base")
+Output = dict | list[str]
 
 
-@dataclass(frozen=True)
-class DecompositionReport:
-    """Everything one comparison run produced."""
-
-    nu: Partition
-    method: str
-    formula_result: SchurExpansion
-    oracle_result: SchurExpansion | None = None
-    timings: Mapping[str, float] = field(default_factory=dict)
-
-    @property
-    def diff(self) -> dict[Partition, tuple[int, int]]:
-        """lam -> (formula, oracle) for every label where they differ."""
-        if self.oracle_result is None:
-            return {}
-        labels = set(self.formula_result.support())
-        labels.update(self.oracle_result.support())
-        out = {}
-        for lam in sorted(labels, reverse=True):
-            a = self.formula_result[lam]
-            b = self.oracle_result[lam]
-            if a != b:
-                out[lam] = (a, b)
-        return out
-
-    @property
-    def agree(self) -> bool:
-        return not self.diff
-
-
-def _select_method(nu: Partition) -> str:
-    if not nu:
-        return "base"
-    if len(nu) <= 2:
-        return "two-row"
-    if nu[0] <= 2:
-        return "two-column"
-    if nu[1] <= 1:
-        return "hook-first"
-    raise UnsupportedShapeError(
-        f"{format_partition(nu)} has more than two rows, more than two "
-        "columns, and is not a hook"
-    )
-
-
-def _apply_method(nu: Partition, method: str) -> tuple[SchurExpansion, str]:
-    if method == "auto":
-        method = _select_method(nu)
-    n = sum(nu)
-    if method == "base":
-        if len(nu) <= 1:
-            return phi_one_row(n), "one-row"
-        if nu[0] == 1:
-            return phi_one_column(n), "one-column"
-        raise InvalidShapeError(
-            f"base form needs a single row or column, got {format_partition(nu)}"
-        )
-    if method == "two-row":
-        if len(nu) > 2:
-            raise UnsupportedShapeError(
-                f"{format_partition(nu)} has more than two rows"
-            )
-        return phi_two_row(n, nu[1] if len(nu) == 2 else 0), "two-row"
-    if method == "two-column":
-        if nu and nu[0] > 2:
-            raise UnsupportedShapeError(
-                f"{format_partition(nu)} has more than two columns"
-            )
-        return phi_two_column(n, sum(1 for p in nu if p == 2)), "two-column"
-    # hook-first / hook-second
-    if len(nu) >= 2 and nu[1] > 1:
-        raise UnsupportedShapeError(f"{format_partition(nu)} is not a hook")
-    variant = "first" if method == "hook-first" else "second"
-    return phi_hook(n, max(len(nu) - 1, 0), variant), method
-
-
-def _oracle_cap() -> int | None:
+def _oracle(nu: Partition, inner: str) -> SchurExpansion:
     raw = os.environ.get("FOULKES_MAX_N")
-    if raw is None:
-        return None
     try:
-        return int(raw)
+        cap = None if raw is None else int(raw)
     except ValueError:
         raise PartitionParseError(
             f"FOULKES_MAX_N must be an integer, got {raw!r}"
         ) from None
+    fn = oracle_plethysm_s2 if inner == "s2" else oracle_plethysm_e2
+    return fn(nu, max_weight=cap)
 
 
-def _term_lines(exp: SchurExpansion) -> list[str]:
-    return [f"  {format_partition(lam)}  {mult}" for lam, mult in exp.items()]
+def _timed(timings: dict[str, float], phase: str, fn, *args):
+    t0 = time.perf_counter()
+    result = fn(*args)
+    timings[phase] = time.perf_counter() - t0
+    return result
 
 
 def _terms_payload(exp: SchurExpansion) -> list[dict]:
     return [{"lambda": list(lam), "mult": mult} for lam, mult in exp.items()]
 
 
-def _render_expansion(
+def _expansion_output(
     nu: Partition, inner: str, method: str, exp: SchurExpansion, fmt: str
-) -> str:
+) -> Output:
     if fmt == "json":
-        payload = {
+        return {
             "nu": list(nu),
             "inner": inner,
             "terms": _terms_payload(exp),
             "method": method,
         }
-        return json.dumps(payload) + "\n"
     if fmt == "csv":
-        lines = ["lambda;mult;table1_class"]
-        lines.extend(f"{format_partition(lam)};{mult};" for lam, mult in exp.items())
-        return "\n".join(lines) + "\n"
-    lines = [
+        return ["lambda;mult;table1_class"] + [
+            f"{format_partition(lam)};{mult};" for lam, mult in exp.items()
+        ]
+    return [
         f"nu: {format_partition(nu)}",
         f"inner: {inner}",
         f"method: {method}",
         "terms:",
+        *(f"  {format_partition(lam)}  {mult}" for lam, mult in exp.items()),
+        f"constituents: {len(exp)}",
+        f"multiplicity: {sum(m for _, m in exp.items())}",
+        f"dimension: {total_dimension(exp)}",
     ]
-    lines.extend(_term_lines(exp))
-    lines.append(f"constituents: {len(exp)}")
-    lines.append(f"multiplicity: {sum(m for _, m in exp.items())}")
-    lines.append(f"dimension: {total_dimension(exp)}")
-    return "\n".join(lines) + "\n"
 
 
-def _render_compare(report: DecompositionReport, inner: str, fmt: str) -> str:
-    diff = report.diff
-    if fmt == "json":
-        payload = {
-            "nu": list(report.nu),
+def _cmd_decompose(args: argparse.Namespace, timings: dict) -> tuple[int, Output]:
+    nu = parse_partition(args.nu)
+    inner = "e2" if args.dual else "s2"
+    result, method = _timed(timings, "formula", decompose, nu, args.method, inner)
+    return 0, _expansion_output(nu, inner, method, result, args.format)
+
+
+def _cmd_oracle(args: argparse.Namespace, timings: dict) -> tuple[int, Output]:
+    nu = parse_partition(args.nu)
+    result = _timed(timings, "oracle", _oracle, nu, args.inner)
+    return 0, _expansion_output(nu, args.inner, "oracle", result, args.format)
+
+
+def _cmd_compare(args: argparse.Namespace, timings: dict) -> tuple[int, Output]:
+    nu = parse_partition(args.nu)
+    inner = "e2" if args.dual else "s2"
+    formula, method = _timed(timings, "formula", decompose, nu, args.method, inner)
+    reference = _timed(timings, "oracle", _oracle, nu, inner)
+    diff = [
+        (lam, formula[lam], reference[lam])
+        for lam in sorted({*formula.support(), *reference.support()}, reverse=True)
+        if formula[lam] != reference[lam]
+    ]
+    code = 1 if diff else 0
+    if args.format == "json":
+        return code, {
+            "nu": list(nu),
             "inner": inner,
-            "method": report.method,
-            "agree": report.agree,
-            "formula_terms": _terms_payload(report.formula_result),
-            "oracle_terms": _terms_payload(report.oracle_result),
+            "method": method,
+            "agree": not diff,
+            "formula_terms": _terms_payload(formula),
+            "oracle_terms": _terms_payload(reference),
             "diff": [
                 {"lambda": list(lam), "formula": a, "oracle": b}
-                for lam, (a, b) in diff.items()
+                for lam, a, b in diff
             ],
         }
-        return json.dumps(payload) + "\n"
-    lines = [
-        f"nu: {format_partition(report.nu)}",
+    return code, [
+        f"nu: {format_partition(nu)}",
         f"inner: {inner}",
-        f"method: {report.method}",
-        f"status: {'agree' if report.agree else 'disagree'}",
+        f"method: {method}",
+        f"status: {'disagree' if diff else 'agree'}",
+        *(["diff:"] if diff else []),
+        *(f"  {format_partition(lam)}  formula={a}  oracle={b}" for lam, a, b in diff),
+        f"constituents: {len(formula)}",
     ]
-    if diff:
-        lines.append("diff:")
-        lines.extend(
-            f"  {format_partition(lam)}  formula={a}  oracle={b}"
-            for lam, (a, b) in diff.items()
-        )
-    lines.append(f"constituents: {len(report.formula_result)}")
-    return "\n".join(lines) + "\n"
 
 
-def _print_timings(timings: Mapping[str, float]) -> None:
-    rendered = " ".join(f"{k}={v:.6f}s" for k, v in timings.items())
-    print(f"timings: {rendered}", file=sys.stderr)
-
-
-def _cmd_decompose(args: argparse.Namespace) -> int:
-    nu = parse_partition(args.nu)
-    t0 = time.perf_counter()
-    result, method = _apply_method(nu, args.method)
-    elapsed = time.perf_counter() - t0
-    inner = "s2"
-    if args.dual:
-        result = omega_dual(result)
-        inner = "e2"
-    sys.stdout.write(_render_expansion(nu, inner, method, result, args.format))
-    if args.timings:
-        _print_timings({"formula": elapsed})
-    return 0
-
-
-def _cmd_oracle(args: argparse.Namespace) -> int:
-    nu = parse_partition(args.nu)
-    fn = oracle_plethysm_s2 if args.inner == "s2" else oracle_plethysm_e2
-    t0 = time.perf_counter()
-    result = fn(nu, max_weight=_oracle_cap())
-    elapsed = time.perf_counter() - t0
-    sys.stdout.write(_render_expansion(nu, args.inner, "oracle", result, args.format))
-    if args.timings:
-        _print_timings({"oracle": elapsed})
-    return 0
-
-
-def _cmd_compare(args: argparse.Namespace) -> int:
-    nu = parse_partition(args.nu)
-    t0 = time.perf_counter()
-    formula, method = _apply_method(nu, args.method)
-    t1 = time.perf_counter()
-    inner = "s2"
-    if args.dual:
-        formula = omega_dual(formula)
-        inner = "e2"
-        reference = oracle_plethysm_e2(nu, max_weight=_oracle_cap())
-    else:
-        reference = oracle_plethysm_s2(nu, max_weight=_oracle_cap())
-    t2 = time.perf_counter()
-    report = DecompositionReport(
-        nu=nu,
-        method=method,
-        formula_result=formula,
-        oracle_result=reference,
-        timings={"formula": t1 - t0, "oracle": t2 - t1},
-    )
-    sys.stdout.write(_render_compare(report, inner, args.format))
-    if args.timings:
-        _print_timings(report.timings)
-    return 0 if report.agree else 1
-
-
-def _table_reference(n: int, kind: str) -> SchurExpansion:
-    if kind == "n-2,1,1":
-        return phi_hook(n, 2, "first")
-    return phi_two_row(n, 2)
-
-
-def _cmd_table(args: argparse.Namespace) -> int:
-    n = args.n
-    kind = args.kind
-    if kind == "n-2,1,1":
-        if n < 3:
-            raise InvalidShapeError("kind 'n-2,1,1' needs n >= 3")
-        nu = (n - 2, 1, 1) if n > 3 else (1, 1, 1)
-    else:
-        if n < 4:
-            raise InvalidShapeError("kind 'n-2,2' needs n >= 4")
-        nu = (n - 2, 2)
-    rows = []
-    for lam in generate_partitions(2 * n):
-        mult = table_multiplicity(lam, kind, n)
-        if mult:
-            rows.append((lam, mult, table_row_class(lam)))
+def _cmd_table(args: argparse.Namespace, timings: dict) -> tuple[int, Output]:
+    n, kind = args.n, args.kind
+    nu = table_nu(kind, n)
+    mults = {
+        lam: table_multiplicity(lam, kind, n) for lam in generate_partitions(2 * n)
+    }
+    rows = [
+        {"lambda": list(lam), "mult": mult, "class": table_row_class(lam)}
+        for lam, mult in mults.items()
+        if mult
+    ]
+    payload: dict = {"n": n, "kind": kind, "nu": list(nu), "rows": rows}
     mismatches = []
     if args.verify:
-        reference = _table_reference(n, kind)
-        for lam in generate_partitions(2 * n):
-            expected = reference[lam]
-            got = table_multiplicity(lam, kind, n)
-            if expected != got:
-                mismatches.append((lam, got, expected))
-    ok = not mismatches
-    if args.format == "json":
-        payload: dict = {
-            "n": n,
-            "kind": kind,
-            "nu": list(nu),
-            "rows": [
-                {"lambda": list(lam), "mult": mult, "class": cls}
-                for lam, mult, cls in rows
-            ],
-        }
-        if args.verify:
-            payload["verified"] = ok
-            payload["mismatches"] = [
-                {"lambda": list(lam), "table": got, "formula": expected}
-                for lam, got, expected in mismatches
-            ]
-        sys.stdout.write(json.dumps(payload) + "\n")
-    elif args.format == "csv":
-        header = "lambda;mult;table1_class" + (";verified" if args.verify else "")
-        lines = [header]
-        for lam, mult, cls in rows:
-            line = f"{format_partition(lam)};{mult};{cls}"
-            if args.verify:
-                line += ";ok" if ok else ";check"
-            lines.append(line)
-        sys.stdout.write("\n".join(lines) + "\n")
-    else:
-        lines = [
-            f"n: {n}",
-            f"kind: {kind}",
-            f"nu: {format_partition(nu)}",
-            "rows:",
+        reference, _ = decompose(nu)
+        mismatches = [
+            {"lambda": list(lam), "table": got, "formula": reference[lam]}
+            for lam, got in mults.items()
+            if got != reference[lam]
         ]
+        payload.update(verified=not mismatches, mismatches=mismatches)
+    code = 1 if mismatches else 0
+    if args.format == "json":
+        return code, payload
+    cells = [(format_partition(r["lambda"]), r["mult"], r["class"]) for r in rows]
+    if args.format == "csv":
+        header = "lambda;mult;table1_class" + (";verified" if args.verify else "")
+        verified = (";check" if mismatches else ";ok") if args.verify else ""
+        return code, [header] + [f"{lam};{m};{cls}{verified}" for lam, m, cls in cells]
+    lines = [f"n: {n}", f"kind: {kind}", f"nu: {format_partition(nu)}", "rows:"]
+    lines.extend(f"  {lam}  {m}  {cls}" for lam, m, cls in cells)
+    if args.verify and not mismatches:
+        lines.append(f"verified: {len(rows)}/{len(rows)}")
+    elif args.verify:
+        lines.append("verified: MISMATCH")
         lines.extend(
-            f"  {format_partition(lam)}  {mult}  {cls}" for lam, mult, cls in rows
+            f"  {format_partition(m['lambda'])}  table={m['table']}  "
+            f"formula={m['formula']}"
+            for m in mismatches
         )
-        if args.verify:
-            if ok:
-                lines.append(f"verified: {len(rows)}/{len(rows)}")
-            else:
-                lines.append("verified: MISMATCH")
-                lines.extend(
-                    f"  {format_partition(lam)}  table={got}  formula={expected}"
-                    for lam, got, expected in mismatches
-                )
-        sys.stdout.write("\n".join(lines) + "\n")
-    return 0 if ok else 1
+    return code, lines
 
 
-def _cmd_lr(args: argparse.Namespace) -> int:
-    lam = parse_partition(args.lam)
-    mu = parse_partition(args.mu)
-    nu = parse_partition(args.nu)
+def _cmd_lr(args: argparse.Namespace, timings: dict) -> tuple[int, Output]:
+    lam, mu, nu = (parse_partition(s) for s in (args.lam, args.mu, args.nu))
     value = lr_coefficient(lam, mu, nu)
     if args.format == "json":
-        payload = {
+        return 0, {
             "lambda": list(lam),
             "mu": list(mu),
             "nu": list(nu),
             "coefficient": value,
         }
-        sys.stdout.write(json.dumps(payload) + "\n")
-    else:
-        sys.stdout.write(f"{value}\n")
-    return 0
+    return 0, [str(value)]
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -371,7 +204,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     d = sub.add_parser("decompose", help="evaluate a closed formula for nu")
     d.add_argument("nu", help="partition, e.g. 3,1 or 2^2,1 or - for empty")
-    d.add_argument("--method", choices=_METHODS, default="auto")
+    d.add_argument("--method", choices=METHODS, default="auto")
     d.add_argument("--dual", action="store_true", help="expand s_nu(s_(1,1)) instead")
     d.add_argument("--format", choices=("text", "json", "csv"), default="text")
     d.add_argument("--timings", action="store_true", help="print timings to stderr")
@@ -386,7 +219,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("compare", help="run formula and oracle, diff the results")
     c.add_argument("nu")
-    c.add_argument("--method", choices=_METHODS, default="auto")
+    c.add_argument("--method", choices=METHODS, default="auto")
     c.add_argument("--dual", action="store_true")
     c.add_argument("--format", choices=("text", "json"), default="text")
     c.add_argument("--timings", action="store_true")
@@ -411,17 +244,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    timings: dict[str, float] = {}
     try:
-        return args.handler(args)
-    except PartitionParseError as exc:
+        code, output = args.handler(args, timings)
+    except FoulkesError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (InvalidShapeError, UnsupportedShapeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ResourceBoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return 3 if isinstance(exc, ResourceBoundError) else 2
+    text = json.dumps(output) if isinstance(output, dict) else "\n".join(output)
+    sys.stdout.write(text + "\n")
+    if getattr(args, "timings", False):
+        rendered = " ".join(f"{k}={v:.6f}s" for k, v in timings.items())
+        print(f"timings: {rendered}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

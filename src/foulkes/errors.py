@@ -5,10 +5,6 @@ class FoulkesError(Exception):
     """Base class for every package-specific error."""
 
 
-class OddPartError(FoulkesError, ValueError):
-    """A partition expected to have all parts even contains an odd part."""
-
-
 class RepeatedPartsError(FoulkesError, ValueError):
     """A partition expected to have distinct parts repeats one."""
 
@@ -35,7 +31,8 @@ class InvalidShapeError(FoulkesError, ValueError):
 
 
 class UnsupportedShapeError(FoulkesError, ValueError):
-    """nu has more than two rows, more than two columns, and is not a hook."""
+    """No closed formula covers nu (it has more than two rows, more than
+    two columns, and is not a hook), or the one asked for does not."""
 
 
 class PartitionParseError(FoulkesError, ValueError):

@@ -7,14 +7,14 @@ written in symmetric group language. The functions here decompose it
 into irreducibles for nu with at most two rows, at most two columns, or
 hook shape, plus dedicated closed forms for nu = (n-1, 1) and
 nu = (2, 1^(n-2)) and a classification table for nu = (n-2, 1, 1) and
-nu = (n-2, 2).
+nu = (n-2, 2). decompose picks the formula that fits a given nu.
 """
 
 from __future__ import annotations
 
 from typing import Iterable
 
-from .errors import InvalidShapeError
+from .errors import InvalidShapeError, UnsupportedShapeError
 from .expansions import SchurExpansion, omega_schur
 from .lr import schur_multiply
 from .partitions import (
@@ -26,6 +26,7 @@ from .partitions import (
     double,
     double_hook,
     drop_count,
+    format_partition,
     generate_distinct_partitions,
     generate_partitions,
     repeated_part_count,
@@ -34,6 +35,10 @@ from .partitions import (
 # The two nu families the multiplicity table covers, keyed the same way
 # the command line spells them.
 TABLE_NU_KINDS = ("n-2,1,1", "n-2,2")
+
+# The closed formulas decompose can apply; "auto" picks one by the
+# shape of nu and "base" is the one-row or one-column case.
+METHODS = ("auto", "two-row", "two-column", "hook-first", "hook-second", "base")
 
 _TABLE_CLASSES = (
     "all-even",
@@ -238,6 +243,18 @@ def table_row_class(lam: Iterable[int]) -> str:
     return "other"
 
 
+def table_nu(kind: str, n: int) -> Partition:
+    """The nu a table kind stands for: (n-2, 1, 1) for kind 'n-2,1,1',
+    n >= 3, and (n-2, 2) for kind 'n-2,2', n >= 4."""
+    if kind not in TABLE_NU_KINDS:
+        raise ValueError(f"kind must be one of {TABLE_NU_KINDS}, got {kind!r}")
+    hook_kind = kind == "n-2,1,1"
+    smallest = 3 if hook_kind else 4
+    if n < smallest:
+        raise InvalidShapeError(f"kind {kind!r} needs n >= {smallest}")
+    return (n - 2, 1, 1) if hook_kind else (n - 2, 2)
+
+
 def table_multiplicity(lam: Iterable[int], kind: str, n: int) -> int:
     """Multiplicity of s_lam in the decomposition for nu = (n-2, 1, 1)
     (kind 'n-2,1,1', n >= 3) or nu = (n-2, 2) (kind 'n-2,2', n >= 4),
@@ -247,13 +264,8 @@ def table_multiplicity(lam: Iterable[int], kind: str, n: int) -> int:
     class have multiplicity 0.
     """
     lam = as_partition(lam)
-    if kind not in TABLE_NU_KINDS:
-        raise ValueError(f"kind must be one of {TABLE_NU_KINDS}, got {kind!r}")
+    table_nu(kind, n)  # raises unless kind and n fit
     hook_kind = kind == "n-2,1,1"
-    if hook_kind and n < 3:
-        raise InvalidShapeError("kind 'n-2,1,1' needs n >= 3")
-    if not hook_kind and n < 4:
-        raise InvalidShapeError("kind 'n-2,2' needs n >= 4")
     if sum(lam) != 2 * n:
         raise InvalidShapeError(f"lam must have size {2 * n}, got {sum(lam)}")
     cls = table_row_class(lam)
@@ -292,3 +304,65 @@ def table_multiplicity(lam: Iterable[int], kind: str, n: int) -> int:
 def omega_dual(f: SchurExpansion) -> SchurExpansion:
     """Pass from s_nu(s_(2)) to s_nu(s_(1,1)): conjugate every label."""
     return omega_schur(f)
+
+
+def decompose(
+    nu: Iterable[int], method: str = "auto", inner: str = "s2"
+) -> tuple[SchurExpansion, str]:
+    """Decompose s_nu(s_(2)) (inner 's2') or s_nu(s_(1,1)) (inner 'e2')
+    by the closed formula named by method, one of METHODS.
+
+    Returns the expansion and the name of the formula applied: 'auto'
+    takes two-row for at most two rows, else two-column for at most two
+    columns, else hook-first for a hook. The empty nu takes the one-row
+    base case under every method. Raises UnsupportedShapeError when no
+    formula, or not the one named, covers nu, and ValueError for an
+    unknown method or inner.
+    """
+    nu = as_partition(nu)
+    if method not in METHODS:
+        raise ValueError(f"method must be one of {METHODS}, got {method!r}")
+    if inner not in ("s2", "e2"):
+        raise ValueError(f"inner must be 's2' or 'e2', got {inner!r}")
+    result, method = _closed_formula(nu, method)
+    return (omega_schur(result) if inner == "e2" else result), method
+
+
+def _closed_formula(nu: Partition, method: str) -> tuple[SchurExpansion, str]:
+    n = sum(nu)
+    if not nu or method == "base":
+        if len(nu) <= 1:
+            return phi_one_row(n), "one-row"
+        if nu[0] == 1:
+            return phi_one_column(n), "one-column"
+        raise UnsupportedShapeError(
+            f"base form needs a single row or column, got {format_partition(nu)}"
+        )
+    if method == "auto":
+        if len(nu) <= 2:
+            method = "two-row"
+        elif nu[0] <= 2:
+            method = "two-column"
+        elif nu[1] <= 1:
+            method = "hook-first"
+        else:
+            raise UnsupportedShapeError(
+                f"{format_partition(nu)} has more than two rows, more than two "
+                "columns, and is not a hook"
+            )
+    if method == "two-row":
+        if len(nu) > 2:
+            raise UnsupportedShapeError(
+                f"{format_partition(nu)} has more than two rows"
+            )
+        return phi_two_row(n, nu[1] if len(nu) == 2 else 0), method
+    if method == "two-column":
+        if nu[0] > 2:
+            raise UnsupportedShapeError(
+                f"{format_partition(nu)} has more than two columns"
+            )
+        return phi_two_column(n, nu.count(2)), method
+    if len(nu) >= 2 and nu[1] > 1:
+        raise UnsupportedShapeError(f"{format_partition(nu)} is not a hook")
+    variant = "first" if method == "hook-first" else "second"
+    return phi_hook(n, len(nu) - 1, variant), method

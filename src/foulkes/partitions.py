@@ -13,12 +13,7 @@ from collections import Counter
 from functools import cache
 from typing import Iterable
 
-from .errors import (
-    EmptyIncludeSetError,
-    OddPartError,
-    PartitionParseError,
-    RepeatedPartsError,
-)
+from .errors import EmptyIncludeSetError, PartitionParseError, RepeatedPartsError
 
 Partition = tuple[int, ...]
 
@@ -83,18 +78,6 @@ def double(alpha: Iterable[int]) -> Partition:
     return tuple(2 * p for p in as_partition(alpha))
 
 
-def halve_even(lam: Iterable[int]) -> Partition:
-    """Halve every part, the inverse of double.
-
-    Raises OddPartError if any part is odd.
-    """
-    lam = as_partition(lam)
-    for p in lam:
-        if p % 2:
-            raise OddPartError(f"part {p} is odd, cannot halve {lam}")
-    return tuple(p // 2 for p in lam)
-
-
 def double_hook(alpha: Iterable[int]) -> Partition:
     """The partition of 2n built from a distinct-part partition of n.
 
@@ -124,14 +107,6 @@ def conjugate(lam: Iterable[int]) -> Partition:
     if not lam:
         return ()
     return tuple(sum(1 for p in lam if p > c) for c in range(lam[0]))
-
-
-def diagonal_hook_lengths(lam: Iterable[int]) -> tuple[int, ...]:
-    """Hook lengths of the leading diagonal cells (i, i), top left first."""
-    lam = as_partition(lam)
-    conj = conjugate(lam)
-    d = sum(1 for i in range(len(lam)) if lam[i] > i)
-    return tuple(lam[i] + conj[i] - 2 * i - 1 for i in range(d))
 
 
 def distinct_part_count(lam: Iterable[int]) -> int:

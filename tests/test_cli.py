@@ -6,6 +6,7 @@ import pytest
 
 from foulkes import cli
 from foulkes.expansions import SchurExpansion
+from foulkes.formulas import METHODS
 
 DECOMPOSE_21_TEXT = """\
 nu: 2,1
@@ -79,6 +80,13 @@ class TestDecompose:
 
     def test_empty_partition(self, capsys):
         code, out, _ = run(capsys, "decompose", "-")
+        assert code == 0
+        assert "method: one-row" in out
+
+    @pytest.mark.parametrize("command", ["decompose", "compare"])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_empty_partition_under_every_method(self, capsys, command, method):
+        code, out, _ = run(capsys, command, "-", "--method", method)
         assert code == 0
         assert "method: one-row" in out
 
@@ -174,8 +182,8 @@ class TestCompare:
     def test_forced_disagreement_exits_1(self, capsys, monkeypatch):
         monkeypatch.setattr(
             cli,
-            "_apply_method",
-            lambda nu, method: (SchurExpansion({(4,): 1}), "two-row"),
+            "decompose",
+            lambda nu, method, inner: (SchurExpansion({(4,): 1}), "two-row"),
         )
         code, out, _ = run(capsys, "compare", "2")
         assert code == 1
@@ -185,8 +193,8 @@ class TestCompare:
     def test_forced_disagreement_json(self, capsys, monkeypatch):
         monkeypatch.setattr(
             cli,
-            "_apply_method",
-            lambda nu, method: (SchurExpansion({(4,): 1}), "two-row"),
+            "decompose",
+            lambda nu, method, inner: (SchurExpansion({(4,): 1}), "two-row"),
         )
         code, out, _ = run(capsys, "compare", "2", "--format", "json")
         assert code == 1
@@ -207,6 +215,27 @@ class TestTable:
         assert code == 0
         assert "verified:" in out
         assert "MISMATCH" not in out
+
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    def test_forced_mismatch_exits_1(self, capsys, monkeypatch, fmt):
+        monkeypatch.setattr(
+            cli,
+            "decompose",
+            lambda nu: (SchurExpansion({(8,): 2, (5, 3): 1}), "two-column"),
+        )
+        argv = ("table", "4", "--kind", "n-2,1,1", "--verify", "--format", fmt)
+        code, out, _ = run(capsys, *argv)
+        assert code == 1
+        if fmt == "json":
+            payload = json.loads(out)
+            assert payload["verified"] is False
+            assert {"lambda": [8], "table": 0, "formula": 2} in payload["mismatches"]
+        elif fmt == "csv":
+            rows = out.splitlines()[1:]
+            assert rows and all(row.endswith(";check") for row in rows)
+        else:
+            assert "verified: MISMATCH" in out
+            assert "  8  table=0  formula=2" in out
 
     def test_too_small_n_exits_2(self, capsys):
         code, _, err = run(capsys, "table", "3", "--kind", "n-2,2")

@@ -8,10 +8,12 @@ statistics on hand-checked rows.
 
 import pytest
 
-from foulkes.errors import InvalidShapeError
-from foulkes.expansions import SchurExpansion, total_dimension
+from foulkes.errors import InvalidShapeError, UnsupportedShapeError
+from foulkes.expansions import SchurExpansion, omega_schur, total_dimension
 from foulkes.formulas import (
+    METHODS,
     TABLE_NU_KINDS,
+    decompose,
     induce_product,
     omega_dual,
     phi_hook,
@@ -22,6 +24,7 @@ from foulkes.formulas import (
     phi_two_one_column_closed,
     phi_two_row,
     table_multiplicity,
+    table_nu,
     table_row_class,
 )
 from foulkes.lr import schur_multiply
@@ -214,6 +217,13 @@ class TestTable:
         for lam in generate_partitions(8):
             assert table_multiplicity(lam, "n-2,1,1", 4) == expected.get(lam, 0)
 
+    def test_table_nu(self):
+        assert table_nu("n-2,1,1", 3) == (1, 1, 1)
+        assert table_nu("n-2,1,1", 6) == (4, 1, 1)
+        assert table_nu("n-2,2", 4) == (2, 2)
+        with pytest.raises(InvalidShapeError):
+            table_nu("n-2,2", -1)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             table_multiplicity((4, 2), "bogus", 3)
@@ -242,3 +252,61 @@ class TestDualAndProduct:
         f = SchurExpansion({(2,): 1, (1, 1): 1})
         g = SchurExpansion({(2, 1): 1})
         assert induce_product(f, g) == schur_multiply(f, g)
+
+
+class TestDecompose:
+    @pytest.mark.parametrize(
+        "nu, method",
+        [
+            ((), "one-row"),
+            ((3, 2), "two-row"),
+            ((1, 1, 1), "two-column"),
+            ((3, 1, 1), "hook-first"),
+        ],
+    )
+    def test_auto_routing(self, nu, method):
+        assert decompose(nu)[1] == method
+
+    def test_routes_to_the_named_formula(self):
+        assert decompose((3, 2)) == (phi_two_row(5, 2), "two-row")
+        assert decompose((2, 2, 1), "two-column") == (
+            phi_two_column(5, 2),
+            "two-column",
+        )
+        assert decompose((3, 1, 1), "hook-second") == (
+            phi_hook(5, 2, "second"),
+            "hook-second",
+        )
+        assert decompose((1, 1, 1), "base") == (phi_one_column(3), "one-column")
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_empty_partition_takes_base_case(self, method):
+        assert decompose((), method) == (phi_one_row(0), "one-row")
+
+    def test_unsupported_shape(self):
+        with pytest.raises(UnsupportedShapeError):
+            decompose((3, 2, 1))
+
+    @pytest.mark.parametrize(
+        "nu, method",
+        [
+            ((3, 1, 1), "two-row"),
+            ((3, 1), "two-column"),
+            ((2, 2), "hook-first"),
+            ((2, 1), "base"),
+        ],
+    )
+    def test_method_that_does_not_fit(self, nu, method):
+        with pytest.raises(UnsupportedShapeError):
+            decompose(nu, method)
+
+    def test_unknown_method_or_inner(self):
+        with pytest.raises(ValueError):
+            decompose((2, 1), "three-row")
+        with pytest.raises(ValueError):
+            decompose((2, 1), inner="h3")
+
+    @pytest.mark.parametrize("nu", [(2,), (2, 1), (1, 1, 1), (3, 1, 1), (2, 2, 1)])
+    def test_e2_is_omega_of_s2(self, nu):
+        formula, method = decompose(nu)
+        assert decompose(nu, inner="e2") == (omega_schur(formula), method)
