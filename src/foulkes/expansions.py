@@ -19,9 +19,9 @@ from typing import Iterable, Iterator, Mapping
 from .errors import DegreeMismatchError, NonIntegerCoefficientError
 from .partitions import (
     Partition,
+    _conjugate,
     as_partition,
     centralizer_order,
-    conjugate,
     generate_partitions,
     irreducible_dimension,
 )
@@ -56,12 +56,28 @@ def _collect(terms, coerce) -> dict:
 
 
 class SchurExpansion:
-    """A finite integer combination of Schur functions of one degree."""
+    """A finite integer combination of Schur functions of one degree.
+
+    The constructor validates every index partition, every coefficient
+    and the common degree. Results built inside the package from values
+    that are already valid skip that: +, -, unary -, integer scaling,
+    omega_schur and lr.schur_multiply go through _trusted, which only
+    drops zero coefficients. + and - still raise DegreeMismatchError on
+    operands of two different degrees.
+    """
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping | Iterable = ()):
         self._terms = _collect(terms, operator.index)
+
+    @classmethod
+    def _trusted(cls, terms: dict[Partition, int]) -> "SchurExpansion":
+        """Wrap a dict whose keys are partitions of one size and whose
+        values are ints, dropping zero coefficients and checking nothing."""
+        self = cls.__new__(cls)
+        self._terms = {lam: c for lam, c in terms.items() if c}
+        return self
 
     @property
     def degree(self) -> int | None:
@@ -105,27 +121,32 @@ class SchurExpansion:
         if a is not None and b is not None and a != b:
             raise DegreeMismatchError(f"cannot combine degrees {a} and {b}")
 
-    def __add__(self, other: "SchurExpansion") -> "SchurExpansion":
-        if not isinstance(other, SchurExpansion):
-            return NotImplemented
+    def _combine(self, other: "SchurExpansion", sign: int) -> "SchurExpansion":
         self._compatible(other)
         data = dict(self._terms)
         for lam, c in other._terms.items():
-            data[lam] = data.get(lam, 0) + c
-        return SchurExpansion(data)
+            data[lam] = data.get(lam, 0) + sign * c
+        return SchurExpansion._trusted(data)
+
+    def __add__(self, other: "SchurExpansion") -> "SchurExpansion":
+        if not isinstance(other, SchurExpansion):
+            return NotImplemented
+        return self._combine(other, 1)
 
     def __sub__(self, other: "SchurExpansion") -> "SchurExpansion":
         if not isinstance(other, SchurExpansion):
             return NotImplemented
-        return self + (-other)
+        return self._combine(other, -1)
 
     def __neg__(self) -> "SchurExpansion":
-        return SchurExpansion({lam: -c for lam, c in self._terms.items()})
+        return SchurExpansion._trusted({lam: -c for lam, c in self._terms.items()})
 
     def __mul__(self, scalar: int) -> "SchurExpansion":
         if not isinstance(scalar, int):
             return NotImplemented
-        return SchurExpansion({lam: scalar * c for lam, c in self._terms.items()})
+        return SchurExpansion._trusted(
+            {lam: scalar * c for lam, c in self._terms.items()}
+        )
 
     __rmul__ = __mul__
 
@@ -299,7 +320,9 @@ def powersum_to_schur(f: PowerSumExpansion) -> SchurExpansion:
 
 def omega_schur(f: SchurExpansion) -> SchurExpansion:
     """Apply the omega involution: conjugate every index partition."""
-    return SchurExpansion({conjugate(lam): c for lam, c in f.items()})
+    return SchurExpansion._trusted(
+        {_conjugate(lam): c for lam, c in f._terms.items()}
+    )
 
 
 def total_dimension(f: SchurExpansion) -> int:

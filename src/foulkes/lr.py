@@ -3,16 +3,22 @@
 Two independent enumerations live here on purpose. lr_coefficient
 counts fillings of a fixed skew shape straight from the definition,
 visiting cells in reverse reading order (right to left within a row,
-top row first) so the lattice-word constraint can be checked exactly at
-every step. schur_multiply expands whole products through chains of
-horizontal strips, which only ever visits result partitions with a
-nonzero coefficient; the test suite cross-checks the two engines
-against each other.
+top row first) with an explicit stack, so the lattice-word constraint
+can be checked exactly at every step and no recursion depth grows with
+the number of cells. schur_multiply expands whole products through
+chains of horizontal strips (_product_terms), which only ever visits
+result partitions with a nonzero coefficient; the test suite
+cross-checks the two engines against each other.
+
+The strip enumeration costs more with every strip, so schur_multiply
+hands _product_terms the factor with fewer rows as the one whose rows
+become strips, and the memo holds each unordered pair once. Each strip
+visits only its addable rows and bounds every row's count from below
+by what the rows under it can still take (see _product_terms).
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import cache
 
 from .expansions import SchurExpansion
@@ -52,74 +58,130 @@ def lr_coefficient(
     counts = [0] * (k + 1)
     grid: dict[tuple[int, int], int] = {}
 
-    def fill(idx: int) -> int:
-        if idx == len(cells):
-            return 1
+    def bounds(idx: int) -> tuple[int, int]:
+        # entries weakly increase to the right, strictly down a column
         r, c = cells[idx]
         right = grid.get((r, c + 1))
-        hi = right if right is not None else k
         above = grid.get((r - 1, c)) if r else None
-        lo = above + 1 if above is not None else 1
-        total = 0
-        for e in range(lo, hi + 1):
-            if counts[e] >= nu[e - 1]:
-                continue
-            # lattice word: after placing, count(e) may not exceed count(e-1)
-            if e > 1 and counts[e] >= counts[e - 1]:
-                continue
-            counts[e] += 1
-            grid[(r, c)] = e
-            total += fill(idx + 1)
-            counts[e] -= 1
-            del grid[(r, c)]
-        return total
+        return (
+            above + 1 if above is not None else 1,
+            right if right is not None else k,
+        )
 
-    return fill(0)
+    # Depth-first over the cells with an explicit stack: next_entry[idx]
+    # is the smallest entry still to try at cells[idx], high[idx] the
+    # largest allowed there.
+    last = len(cells) - 1
+    next_entry = [0] * len(cells)
+    high = [0] * len(cells)
+    next_entry[0], high[0] = bounds(0)
+    total = 0
+    idx = 0
+    while idx >= 0:
+        for e in range(next_entry[idx], high[idx] + 1):
+            # content nu, and the lattice word: after placing, count(e)
+            # may not exceed count(e-1)
+            if counts[e] < nu[e - 1] and (e == 1 or counts[e] < counts[e - 1]):
+                break
+        else:
+            # nothing fits here: back up and take the previous entry out
+            idx -= 1
+            if idx >= 0:
+                counts[grid.pop(cells[idx])] -= 1
+            continue
+        next_entry[idx] = e + 1
+        if idx == last:  # a complete filling
+            total += 1
+            continue
+        counts[e] += 1
+        grid[cells[idx]] = e
+        idx += 1
+        next_entry[idx], high[idx] = bounds(idx)
+    return total
 
 
 @cache
 def _product_terms(a: Partition, b: Partition) -> tuple[tuple[Partition, int], ...]:
     """Expansion of s_a * s_b as (partition, coefficient) pairs.
 
-    Enumerates chains a = k0 <= k1 <= ... where each step adds a
+    Enumerates chains a = k0 <= k1 <= ... where step i adds a
     horizontal strip of b_i cells, subject to the row-prefix lattice
     condition: through any row r, strip i may not contain more cells in
     rows 1..r than strip i-1 holds in rows 1..r-1.
-    """
-    counts: Counter[Partition] = Counter()
-    entries = len(b)
 
-    def place(entry: int, shape: tuple[int, ...], prev: tuple[int, ...]) -> None:
-        if entry == entries:
-            counts[shape] += 1
-            return
+    Each strip visits only the rows that can take a cell: the first
+    row, every row below a strictly longer row, and the new row below
+    the shape. A row's count runs down from its capacity (the gap to
+    the row above, within the lattice bound) to the part of the strip
+    that the addable rows below cannot absorb, read off a suffix sum of
+    their capacities, so no branch dies at the bottom of the shape; a
+    strip that is complete leaves the rows below alone. Skipping the
+    other rows keeps the lattice check exact because the prefix of the
+    previous strip never decreases. The work grows with the number of
+    strips, which is why schur_multiply passes the factor with fewer
+    rows as b.
+    """
+    if not b:
+        return ((a, 1),)
+    counts: dict[Partition, int] = {}
+    last = len(b) - 1
+
+    def place(entry: int, shape: Partition, prev: tuple[tuple[int, int], ...]) -> None:
+        # prev holds the (row, cells) pairs of the previous strip.
         need = b[entry]
         nrows = len(shape)
+        rows = [0]
+        caps = [need]
+        for r in range(1, nrows + 1):
+            gap = shape[r - 1] - (shape[r] if r < nrows else 0)
+            if gap:
+                rows.append(r)
+                caps.append(gap)
+        # room[i]: cells the addable rows from i on can take together
+        room = [0] * (len(rows) + 1)
+        for i in range(len(rows) - 1, 0, -1):
+            room[i] = room[i + 1] + caps[i]
+        # lattice[i]: most cells this strip may hold through row rows[i],
+        # i.e. the previous strip's cells above that row, capped at this
+        # strip's size so that lattice[i] - placed <= remaining. The
+        # first strip has no lattice bound.
         if entry:
-            prefix = [0] * (nrows + 2)
-            for q in range(nrows + 1):
-                prefix[q + 1] = prefix[q] + (prev[q] if q < len(prev) else 0)
-        new_rows: list[int] = []
-        row_counts: list[int] = []
+            lattice = []
+            above = j = 0
+            for r in rows:
+                while j < len(prev) and prev[j][0] < r:
+                    above += prev[j][1]
+                    j += 1
+                lattice.append(above if above < need else need)
+        else:
+            lattice = [need] * len(rows)
+        new = list(shape)
+        new.append(0)
+        strip: list[tuple[int, int]] = []
+        final = entry == last
 
-        def fill(r: int, remaining: int, placed: int) -> None:
-            if r == nrows + 1:
-                if remaining == 0:
-                    shape2 = tuple(new_rows if new_rows[-1] else new_rows[:-1])
-                    place(entry + 1, shape2, tuple(row_counts))
+        def fill(i: int, remaining: int, placed: int) -> None:
+            if not remaining:
+                shape2 = tuple(new) if new[-1] else tuple(new[:-1])
+                if final:
+                    counts[shape2] = counts.get(shape2, 0) + 1
+                else:
+                    place(entry + 1, shape2, tuple(strip))
                 return
-            old = shape[r] if r < nrows else 0
-            cap = remaining
-            if r:
-                cap = min(cap, shape[r - 1] - old)
-            if entry:
-                cap = min(cap, prefix[r] - placed)
-            for s in range(max(cap, 0), -1, -1):
-                new_rows.append(old + s)
-                row_counts.append(s)
-                fill(r + 1, remaining - s, placed + s)
-                new_rows.pop()
-                row_counts.pop()
+            cap = lattice[i] - placed
+            if caps[i] < cap:
+                cap = caps[i]
+            low = remaining - room[i + 1]
+            r = rows[i]
+            for s in range(cap, (low if low > 0 else 0) - 1, -1):
+                if s:
+                    new[r] += s
+                    strip.append((r, s))
+                    fill(i + 1, remaining - s, placed + s)
+                    new[r] -= s
+                    strip.pop()
+                else:
+                    fill(i + 1, remaining, placed)
 
         fill(0, need, 0)
 
@@ -139,6 +201,12 @@ def schur_multiply(f: SchurExpansion, g: SchurExpansion) -> SchurExpansion:
     for mu, cf in f.items():
         for nu, cg in g.items():
             w = cf * cg
-            for lam, c in _product_terms(mu, nu):
+            # the factor with fewer rows makes the strips; ties go one
+            # fixed way so each pair has one cache entry
+            if (len(nu), nu) <= (len(mu), mu):
+                terms = _product_terms(mu, nu)
+            else:
+                terms = _product_terms(nu, mu)
+            for lam, c in terms:
                 acc[lam] = acc.get(lam, 0) + w * c
-    return SchurExpansion(acc)
+    return SchurExpansion._trusted(acc)

@@ -103,10 +103,15 @@ def double_hook(alpha: Iterable[int]) -> Partition:
 
 def conjugate(lam: Iterable[int]) -> Partition:
     """Transpose the Young diagram: (4, 1, 1) -> (3, 1, 1, 1)."""
-    lam = as_partition(lam)
-    if not lam:
-        return ()
-    return tuple(sum(1 for p in lam if p > c) for c in range(lam[0]))
+    return _conjugate(as_partition(lam))
+
+
+def _conjugate(lam: Partition) -> Partition:
+    """conjugate for a tuple already known to be a partition."""
+    conj: list[int] = []
+    for i in range(len(lam), 0, -1):
+        conj.extend([i] * (lam[i - 1] - (lam[i] if i < len(lam) else 0)))
+    return tuple(conj)
 
 
 def distinct_part_count(lam: Iterable[int]) -> int:

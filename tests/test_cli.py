@@ -279,3 +279,9 @@ class TestLr:
         code, out, _ = run(capsys, "lr", "4", "2,1", "1")
         assert code == 0
         assert out == "0\n"
+
+    def test_long_row(self, capsys):
+        code, out, err = run(capsys, "lr", "3000", "1500", "1500")
+        assert code == 0
+        assert out == "1\n"
+        assert err == ""

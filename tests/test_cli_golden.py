@@ -2,7 +2,7 @@
 
 bench/golden.json maps an argv (joined by spaces) to the exit code and
 the sha256 of the stdout the CLI printed for it. This replays a fast
-subset in-process: every table and lr query, decompose up to |nu| = 8,
+subset in-process: every table and lr query, decompose up to |nu| = 10,
 oracle and compare up to |nu| = 7, and every query that must fail.
 The file is only read here; it is written by bench/record_golden.py.
 """
@@ -21,7 +21,7 @@ from foulkes.partitions import parse_partition
 GOLDEN_PATH = Path(__file__).resolve().parents[1] / "bench" / "golden.json"
 
 # Largest |nu| replayed per subcommand; table and lr are always replayed.
-MAX_SIZE = {"decompose": 8, "oracle": 7, "compare": 7}
+MAX_SIZE = {"decompose": 10, "oracle": 7, "compare": 7}
 
 
 def _replayed(golden: dict[str, list]) -> list[str]:

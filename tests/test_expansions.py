@@ -80,6 +80,14 @@ class TestSchurExpansion:
         with pytest.raises(DegreeMismatchError):
             SchurExpansion({(2,): 1}) + SchurExpansion({(3,): 1})
 
+    def test_sub_rejects_mixed_degree(self):
+        with pytest.raises(DegreeMismatchError):
+            SchurExpansion({(2,): 1}) - SchurExpansion({(3,): 1})
+
+    def test_rejects_non_partition_key(self):
+        with pytest.raises(ValueError):
+            SchurExpansion({(1, 2): 1})
+
     def test_zero_behaviour(self):
         zero = SchurExpansion()
         assert len(zero) == 0
@@ -93,6 +101,48 @@ class TestSchurExpansion:
         b = SchurExpansion([((2, 2), 1), ((3, 1), 1)])
         assert a == b
         assert a != SchurExpansion({(3, 1): 1})
+
+
+def schur_dicts(n):
+    return st.dictionaries(
+        st.sampled_from(list(generate_partitions(n))), st.integers(-3, 3), max_size=6
+    )
+
+
+class TestTrustedArithmetic:
+    """+, -, unary -, scaling and omega_schur skip revalidation; each
+    must still equal the validating constructor on the same dict."""
+
+    @given(
+        st.integers(0, 6).flatmap(lambda n: st.tuples(schur_dicts(n), schur_dicts(n))),
+        st.integers(-3, 3),
+    )
+    def test_matches_validating_constructor(self, dicts, k):
+        da, db = dicts
+        a, b = SchurExpansion(da), SchurExpansion(db)
+        keys = set(da) | set(db)
+        cases = [
+            (a + b, {lam: da.get(lam, 0) + db.get(lam, 0) for lam in keys}),
+            (a - b, {lam: da.get(lam, 0) - db.get(lam, 0) for lam in keys}),
+            (-a, {lam: -c for lam, c in da.items()}),
+            (k * a, {lam: k * c for lam, c in da.items()}),
+            (a * k, {lam: k * c for lam, c in da.items()}),
+            (omega_schur(a), {conjugate(lam): c for lam, c in da.items()}),
+        ]
+        for got, expected in cases:
+            want = SchurExpansion(expected)
+            assert got == want
+            assert got.items() == want.items()
+            assert got.degree == want.degree
+
+    def test_cancelling_sum_leaves_no_zero_key(self):
+        f = SchurExpansion({(2,): 1, (1, 1): 2})
+        g = SchurExpansion({(2,): -1, (1, 1): 1})
+        assert dict((f + g).items()) == {(1, 1): 3}
+        assert (2,) not in f + g
+        assert len(f - f) == 0 and (f - f) == SchurExpansion()
+        assert len(f + (-f)) == 0
+        assert len(0 * f) == 0
 
 
 class TestPowerSumExpansion:

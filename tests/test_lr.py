@@ -14,6 +14,7 @@ from collections import Counter
 import pytest
 
 from foulkes.expansions import SchurExpansion, total_dimension
+from foulkes.formulas import phi_one_column, phi_one_row
 from foulkes.lr import _product_terms, lr_coefficient, schur_multiply
 from foulkes.partitions import conjugate, generate_partitions, irreducible_dimension
 
@@ -82,7 +83,7 @@ class TestAgainstBruteForce:
 
 
 class TestEnginesAgree:
-    @pytest.mark.parametrize("total", range(0, 8))
+    @pytest.mark.parametrize("total", range(0, 9))
     def test_product_terms_match_coefficient_engine(self, total):
         for a in range(0, total + 1):
             for mu in generate_partitions(a):
@@ -94,6 +95,34 @@ class TestEnginesAgree:
                             mu,
                             nu,
                         )
+
+
+class TestOperandOrder:
+    """schur_multiply hands _product_terms the factor with fewer rows as
+    the strip side; the product must not depend on the order given."""
+
+    def test_swap_matches_coefficient_engine(self):
+        # factors whose terms have different row counts in both directions
+        f, g = phi_one_row(4), phi_one_column(6)
+        expected = SchurExpansion(
+            {
+                lam: sum(
+                    cf * cg * lr_coefficient(lam, mu, nu)
+                    for mu, cf in f.items()
+                    for nu, cg in g.items()
+                )
+                for lam in generate_partitions(20)
+            }
+        )
+        assert schur_multiply(f, g) == schur_multiply(g, f) == expected
+
+    def test_swapped_product_reuses_memo(self):
+        f = SchurExpansion({(3, 1, 1): 1, (3, 2): 2})
+        g = SchurExpansion({(4, 2): 1, (5, 1): -1})
+        first = schur_multiply(f, g)
+        misses = _product_terms.cache_info().misses
+        assert schur_multiply(g, f) == first
+        assert _product_terms.cache_info().misses == misses
 
 
 class TestPieri:
@@ -160,7 +189,7 @@ class TestPieri:
 
 
 class TestSymmetries:
-    @pytest.mark.parametrize("total", range(0, 8))
+    @pytest.mark.parametrize("total", range(0, 9))
     def test_factor_swap(self, total):
         for a in range(0, total + 1):
             for mu in generate_partitions(a):
@@ -228,3 +257,8 @@ class TestCoefficientEdgeCases:
     def test_empty_inner(self):
         assert lr_coefficient((3, 1), (3, 1), ()) == 1
         assert lr_coefficient((3, 1), (), (3, 1)) == 1
+
+    def test_long_row_needs_no_deep_recursion(self):
+        # 1500 cells to fill, more than the default recursion limit
+        assert lr_coefficient((3000,), (1500,), (1500,)) == 1
+        assert lr_coefficient((1500, 1500), (1500,), (1500,)) == 1
