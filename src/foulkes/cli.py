@@ -15,6 +15,7 @@ import json
 import os
 import sys
 import time
+from functools import cache
 from typing import Sequence
 
 from .errors import FoulkesError, PartitionParseError, ResourceBoundError
@@ -192,6 +193,7 @@ def _cmd_lr(args: argparse.Namespace, timings: dict) -> tuple[int, Output]:
     return 0, [str(value)]
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="foulkes",
@@ -251,7 +253,14 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 3 if isinstance(exc, ResourceBoundError) else 2
     text = json.dumps(output) if isinstance(output, dict) else "\n".join(output)
-    sys.stdout.write(text + "\n")
+    try:
+        sys.stdout.write(text + "\n")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader went away. Point stdout at devnull so the flush at
+        # interpreter shutdown cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     if getattr(args, "timings", False):
         rendered = " ".join(f"{k}={v:.6f}s" for k, v in timings.items())
         print(f"timings: {rendered}", file=sys.stderr)

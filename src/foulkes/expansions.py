@@ -14,6 +14,7 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 from functools import cache
+from math import lcm
 from typing import Iterable, Iterator, Mapping
 
 from .errors import DegreeMismatchError, NonIntegerCoefficientError
@@ -294,28 +295,35 @@ def schur_to_powersum(nu: Iterable[int]) -> PowerSumExpansion:
 def powersum_to_schur(f: PowerSumExpansion) -> SchurExpansion:
     """Convert a power-sum expansion to the Schur basis.
 
-    The coefficient of s_lam is the sum of f(mu) * chi^lam_mu. Raises
-    NonIntegerCoefficientError if any coefficient is not an integer,
-    which means f was not an integral Schur combination to begin with.
+    The coefficient of s_lam is the sum of f(mu) * chi^lam_mu. It is
+    computed in integers: every f(mu) is scaled by the lcm D of their
+    denominators, each s_lam total is an integer dot product with the
+    character values, and one exact division by D ends it. Raises
+    NonIntegerCoefficientError if a division leaves a remainder, which
+    means f was not an integral Schur combination to begin with.
     """
     n = f.degree
     if n is None:
         return SchurExpansion()
-    items = f.items()
+    denom = lcm(*(c.denominator for c in f._terms.values()))
+    scaled = [
+        (mu, c.numerator * (denom // c.denominator)) for mu, c in f._terms.items()
+    ]
     out: dict[Partition, int] = {}
     for lam in generate_partitions(n):
-        total = Fraction(0)
-        for mu, coeff in items:
+        total = 0
+        for mu, coeff in scaled:
             ch = _chi(lam, mu)
             if ch:
                 total += coeff * ch
         if total:
-            if total.denominator != 1:
+            quotient, remainder = divmod(total, denom)
+            if remainder:
                 raise NonIntegerCoefficientError(
-                    f"coefficient of s_{lam} is {total}"
+                    f"coefficient of s_{lam} is {Fraction(total, denom)}"
                 )
-            out[lam] = int(total)
-    return SchurExpansion(out)
+            out[lam] = quotient
+    return SchurExpansion._trusted(out)
 
 
 def omega_schur(f: SchurExpansion) -> SchurExpansion:

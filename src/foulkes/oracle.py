@@ -60,16 +60,31 @@ def _check_cap(nu: Partition, max_weight: int | None) -> None:
         )
 
 
+def _multiply_out(mu: Partition, sign: int) -> dict[Partition, int]:
+    """prod_r (p_r p_r + sign * p_2r) over the parts r of mu, as integer
+    coefficients keyed by the sorted parts of each power-sum product."""
+    acc: dict[Partition, int] = {(): 1}
+    for r in mu:
+        step: dict[Partition, int] = {}
+        for key, c in acc.items():
+            pair = tuple(sorted(key + (r, r), reverse=True))
+            step[pair] = step.get(pair, 0) + c
+            double = tuple(sorted(key + (2 * r,), reverse=True))
+            step[double] = step.get(double, 0) + sign * c
+        acc = {key: c for key, c in step.items() if c}
+    return acc
+
+
 @cache
 def _oracle(nu: Partition, inner: str) -> SchurExpansion:
-    factor = p_plethysm_h2 if inner == "s2" else p_plethysm_e2
+    # Each p_r becomes (p_r p_r +- p_2r) / 2: multiply out the integer
+    # brackets and apply the 1/2^len(mu) once per resulting term.
+    sign = 1 if inner == "s2" else -1
     acc: dict[Partition, Fraction] = {}
     for mu, coeff in schur_to_powersum(nu).items():
-        term = PowerSumExpansion({(): 1})
-        for part in mu:
-            term = term * factor(part)
-        for lam, c in term.items():
-            acc[lam] = acc.get(lam, Fraction(0)) + coeff * c
+        weight = coeff / (1 << len(mu))
+        for key, c in _multiply_out(mu, sign).items():
+            acc[key] = acc.get(key, 0) + weight * c
     return powersum_to_schur(PowerSumExpansion(acc))
 
 

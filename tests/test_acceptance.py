@@ -55,28 +55,28 @@ def _hook_cases(n):
     return [((n - r,) + (1,) * r, r) for r in range(0, n)]
 
 
-@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("n", range(1, 10))
 def test_criterion_1_base_cases(n):
     with _timed(1, n):
         assert phi_one_row(n) == oracle_plethysm_s2((n,))
         assert phi_one_column(n) == oracle_plethysm_s2((1,) * n)
 
 
-@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("n", range(1, 10))
 def test_criterion_2_two_row(n):
     with _timed(2, n):
         for nu, r in _two_row_cases(n):
             assert phi_two_row(n, r) == oracle_plethysm_s2(nu), (n, r)
 
 
-@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("n", range(1, 10))
 def test_criterion_3_two_column(n):
     with _timed(3, n):
         for nu, r in _two_column_cases(n):
             assert phi_two_column(n, r) == oracle_plethysm_s2(nu), (n, r)
 
 
-@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("n", range(1, 10))
 def test_criterion_4_hook(n):
     with _timed(4, n):
         for nu, r in _hook_cases(n):
@@ -108,7 +108,7 @@ def test_criterion_6_table_row_kind(n):
             assert table_multiplicity(lam, "n-2,2", n) == reference[lam], (n, lam)
 
 
-@pytest.mark.parametrize("n", range(1, 8))
+@pytest.mark.parametrize("n", range(1, 9))
 def test_criterion_7_omega_duality(n):
     with _timed(7, n):
         for nu in generate_partitions(n):

@@ -1,9 +1,14 @@
 """Command-line surface: rendering, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import foulkes
 from foulkes import cli
 from foulkes.expansions import SchurExpansion
 from foulkes.formulas import METHODS
@@ -285,3 +290,21 @@ class TestLr:
         assert code == 0
         assert out == "1\n"
         assert err == ""
+
+
+class TestClosedPipe:
+    def test_reader_gone_exits_1_without_traceback(self):
+        src = str(Path(foulkes.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "foulkes.cli", "oracle", "4,3", "--format", "csv"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        # Closed before the child has finished starting up, so its one
+        # write finds no reader.
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 1
+        assert err == b""

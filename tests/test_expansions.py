@@ -258,6 +258,47 @@ class TestBasisChange:
             PowerSumExpansion({(2,): 1, (1,): 1})
 
 
+def fraction_dot_products(f):
+    """Reference basis change: one Fraction dot product per s_lam."""
+    if not f:
+        return {}
+    out = {}
+    for lam in generate_partitions(f.degree):
+        total = sum((c * mn_character(lam, mu) for mu, c in f.items()), Fraction(0))
+        if total:
+            out[lam] = total
+    return out
+
+
+class TestIntegerBasisChange:
+    """powersum_to_schur scales by one common denominator and divides
+    once; it must agree with Fraction dot products exactly."""
+
+    @given(st.integers(0, 8).flatmap(schur_dicts))
+    def test_recovers_integer_combination(self, combo):
+        f = PowerSumExpansion()
+        for nu, k in combo.items():
+            f = f + k * schur_to_powersum(nu)
+        got = powersum_to_schur(f)
+        assert got == SchurExpansion(combo)
+        assert dict(got.items()) == fraction_dot_products(f)
+        assert all(type(c) is int for _, c in got.items())
+
+    @pytest.mark.parametrize(
+        "terms,message",
+        [
+            ({(1,): Fraction(1, 2)}, "coefficient of s_(1,) is 1/2"),
+            ({(2,): Fraction(1, 4), (1, 1): Fraction(1, 4)}, "coefficient of s_(2,) is 1/2"),
+            ({(2,): Fraction(1, 3), (1, 1): Fraction(2, 3)}, "coefficient of s_(1, 1) is 1/3"),
+            ({(3,): Fraction(-2, 3)}, "coefficient of s_(3,) is -2/3"),
+        ],
+    )
+    def test_remainder_message(self, terms, message):
+        with pytest.raises(NonIntegerCoefficientError) as info:
+            powersum_to_schur(PowerSumExpansion(terms))
+        assert str(info.value) == message
+
+
 class TestOmega:
     def test_conjugates_labels(self):
         f = SchurExpansion({(3, 1): 2, (2, 2): 1})

@@ -6,15 +6,24 @@ elsewhere in the suite is meaningful.  Here we pin its own small
 outputs and internal algebra.
 """
 
+import ast
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import foulkes
 from foulkes.errors import ResourceBoundError
-from foulkes.expansions import SchurExpansion, omega_schur, total_dimension
+from foulkes.expansions import (
+    PowerSumExpansion,
+    SchurExpansion,
+    omega_schur,
+    total_dimension,
+)
 from foulkes.oracle import (
     DEFAULT_MAX_WEIGHT,
+    _multiply_out,
     oracle_plethysm_e2,
     oracle_plethysm_s2,
     p_plethysm_e2,
@@ -45,6 +54,18 @@ class TestPowerSumSubstitution:
         assert dict(both.items()) == {(r, r): Fraction(1)}
         gap = p_plethysm_h2(r) - p_plethysm_e2(r)
         assert dict(gap.items()) == {(2 * r,): Fraction(1)}
+
+    @pytest.mark.parametrize("n", range(0, 8))
+    def test_integer_multiply_out_matches_factor_product(self, n):
+        # The oracle multiplies out 2 * p_r(h_2) or 2 * p_r(e_2) in
+        # integers; the product of the PowerSumExpansion factors is the
+        # reference.
+        for mu in generate_partitions(n):
+            for factor, sign in ((p_plethysm_h2, 1), (p_plethysm_e2, -1)):
+                reference = PowerSumExpansion({(): 1})
+                for r in mu:
+                    reference = reference * (2 * factor(r))
+                assert PowerSumExpansion(_multiply_out(mu, sign)) == reference, mu
 
 
 class TestSmallExpansions:
@@ -121,3 +142,26 @@ class TestResourceCap:
     def test_tight_cap_rejects(self):
         with pytest.raises(ResourceBoundError):
             oracle_plethysm_s2((3, 1), max_weight=3)
+
+
+def imported_modules(path: Path) -> set[str]:
+    """Every module a source file imports, relative ones without dots."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            names.add(base)
+            names.update(f"{base}.{alias.name}".lstrip(".") for alias in node.names)
+    return names
+
+
+@pytest.mark.parametrize("module", ["oracle.py", "expansions.py"])
+def test_oracle_route_imports_neither_lr_nor_formulas(module):
+    path = Path(foulkes.__file__).with_name(module)
+    for name in imported_modules(path):
+        parts = name.split(".")
+        if parts[0] == "foulkes":
+            parts = parts[1:]
+        assert parts[:1] not in (["lr"], ["formulas"]), (module, name)
