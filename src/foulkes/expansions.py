@@ -4,9 +4,12 @@ SchurExpansion carries integer multiplicities, PowerSumExpansion exact
 rational coefficients (fractions.Fraction). Both are immutable,
 homogeneous (every index partition has one common size) and drop zero
 coefficients on construction. Symmetric group character values come
-from the Murnaghan-Nakayama border-strip recursion, memoized on the
-(shape, remaining cycle type) pair; the memo is process-global and a
-concurrent duplicate computation is harmless.
+from the Murnaghan-Nakayama rule run forwards: the column chi^lam_mu
+over every lam, which is the Schur expansion of p_mu, is p_mu[0] times
+the column of mu[1:], each shape in it growing by every mu[0]-cell
+border strip. Columns are memoized on the cycle type mu alone, the
+strips added on the (shape, strip size) pair; the memos are
+process-global and a concurrent duplicate computation is harmless.
 """
 
 from __future__ import annotations
@@ -238,55 +241,82 @@ class PowerSumExpansion:
 
 
 @cache
-def _chi(lam: Partition, mu: Partition) -> int:
-    """Character value via border-strip removal on beta numbers."""
-    if not mu:
-        return 1
-    k = mu[0]
-    rest = mu[1:]
-    ell = len(lam)
-    betas = tuple(lam[i] + ell - 1 - i for i in range(ell))
+def _position(n: int) -> dict[Partition, int]:
+    """Index of every partition of n in generate_partitions(n)."""
+    return {lam: i for i, lam in enumerate(generate_partitions(n))}
+
+
+@cache
+def _add_strips(rho: Partition, k: int) -> tuple[tuple[int, int], ...]:
+    """(position, sign) of every shape rho plus a k-cell border strip.
+
+    On beta numbers a strip added is a bead moved up by k onto a free
+    place, with sign (-1)^(beads jumped). Positions index
+    generate_partitions(|rho| + k).
+    """
+    ell = len(rho) + k
+    betas = [part + ell - 1 - i for i, part in enumerate(rho + (0,) * k)]
     bset = set(betas)
-    total = 0
+    position = _position(sum(rho) + k)
+    out = []
     for b in betas:
-        nb = b - k
-        if nb < 0 or nb in bset:
+        top = b + k
+        if top in bset:
             continue
-        height = sum(1 for c in betas if nb < c < b)
-        new = sorted((bset - {b}) | {nb}, reverse=True)
-        new_lam = tuple(
-            v - (ell - 1 - j) for j, v in enumerate(new) if v - (ell - 1 - j) > 0
-        )
-        term = _chi(new_lam, rest)
-        if term:
-            total += -term if height % 2 else term
-    return total
+        jumped = sum(1 for c in betas if b < c < top)
+        new = sorted((bset - {b}) | {top}, reverse=True)
+        lam = tuple(v - (ell - 1 - j) for j, v in enumerate(new) if v > ell - 1 - j)
+        out.append((position[lam], -1 if jumped % 2 else 1))
+    return tuple(out)
+
+
+@cache
+def _chi(mu: Partition) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The column chi^lam_mu over every lam of |mu|, i.e. the Schur
+    expansion of p_mu, as the positions in generate_partitions(|mu|) of
+    the lam with a non-zero value and those values."""
+    if not mu:
+        return (0,), (1,)
+    k, rest = mu[0], mu[1:]
+    shapes = generate_partitions(sum(rest))
+    column = [0] * len(generate_partitions(sum(mu)))
+    for j, value in zip(*_chi(rest)):
+        for i, sign in _add_strips(shapes[j], k):
+            column[i] += sign * value
+    nonzero = [i for i, value in enumerate(column) if value]
+    return tuple(nonzero), tuple(column[i] for i in nonzero)
 
 
 def mn_character(lam: Iterable[int], mu: Iterable[int]) -> int:
     """Value of the irreducible character chi^lam on cycle type mu.
 
-    Murnaghan-Nakayama recursion; raises DegreeMismatchError unless both
-    partitions have the same size.
+    Murnaghan-Nakayama rule; raises DegreeMismatchError unless both
+    partitions have the same size. The first value for a new cycle
+    type of size n computes its whole column, which enumerates the
+    partitions of n.
     """
     lam = as_partition(lam)
     mu = as_partition(mu)
-    if sum(lam) != sum(mu):
+    n = sum(lam)
+    if n != sum(mu):
         raise DegreeMismatchError(f"|{lam}| != |{mu}|")
-    return _chi(lam, mu)
+    return dict(zip(*_chi(mu))).get(_position(n)[lam], 0)
 
 
 def schur_to_powersum(nu: Iterable[int]) -> PowerSumExpansion:
     """s_nu as a rational combination of power sums.
 
     The coefficient of p_mu is chi^nu_mu divided by the centralizer
-    order of mu.
+    order of mu. The first call for a size n computes the character
+    column of every cycle type of n, which enumerates the partitions
+    of n.
     """
     nu = as_partition(nu)
     n = sum(nu)
+    i = _position(n)[nu]
     data = {}
     for mu in generate_partitions(n):
-        ch = _chi(nu, mu)
+        ch = dict(zip(*_chi(mu))).get(i)
         if ch:
             data[mu] = Fraction(ch, centralizer_order(mu))
     return PowerSumExpansion(data)
@@ -297,25 +327,23 @@ def powersum_to_schur(f: PowerSumExpansion) -> SchurExpansion:
 
     The coefficient of s_lam is the sum of f(mu) * chi^lam_mu. It is
     computed in integers: every f(mu) is scaled by the lcm D of their
-    denominators, each s_lam total is an integer dot product with the
-    character values, and one exact division by D ends it. Raises
-    NonIntegerCoefficientError if a division leaves a remainder, which
-    means f was not an integral Schur combination to begin with.
+    denominators, the scaled character columns are added into one
+    integer total per s_lam, and one exact division by D ends each.
+    Raises NonIntegerCoefficientError at the first s_lam in reverse-lex
+    order whose division leaves a remainder, which means f was not an
+    integral Schur combination to begin with.
     """
     n = f.degree
     if n is None:
         return SchurExpansion()
     denom = lcm(*(c.denominator for c in f._terms.values()))
-    scaled = [
-        (mu, c.numerator * (denom // c.denominator)) for mu, c in f._terms.items()
-    ]
+    totals = [0] * len(generate_partitions(n))
+    for mu, c in f._terms.items():
+        coeff = c.numerator * (denom // c.denominator)
+        for i, ch in zip(*_chi(mu)):
+            totals[i] += coeff * ch
     out: dict[Partition, int] = {}
-    for lam in generate_partitions(n):
-        total = 0
-        for mu, coeff in scaled:
-            ch = _chi(lam, mu)
-            if ch:
-                total += coeff * ch
+    for lam, total in zip(generate_partitions(n), totals):
         if total:
             quotient, remainder = divmod(total, denom)
             if remainder:

@@ -80,6 +80,16 @@ def induce_product(f: SchurExpansion, g: SchurExpansion) -> SchurExpansion:
     return schur_multiply(f, g)
 
 
+def _signed_sum(terms: Iterable[tuple[int, SchurExpansion]]) -> SchurExpansion:
+    """Sum of sign * f over the (sign, f) pairs of one degree,
+    accumulated in one dict."""
+    acc: dict[Partition, int] = {}
+    for sign, f in terms:
+        for lam, c in f._terms.items():
+            acc[lam] = acc.get(lam, 0) + sign * c
+    return SchurExpansion._trusted(acc)
+
+
 def phi_two_row(n: int, r: int) -> SchurExpansion:
     """Decomposition for nu = (n-r, r), requiring 0 <= r <= n-r.
 
@@ -90,10 +100,10 @@ def phi_two_row(n: int, r: int) -> SchurExpansion:
         raise InvalidShapeError("n must be a positive integer")
     if r < 0 or r > n - r:
         raise InvalidShapeError(f"need 0 <= r <= n-r, got n={n}, r={r}")
-    result = schur_multiply(phi_one_row(n - r), phi_one_row(r))
+    terms = [(1, schur_multiply(phi_one_row(n - r), phi_one_row(r)))]
     if r:
-        result = result - schur_multiply(phi_one_row(n - r + 1), phi_one_row(r - 1))
-    return result
+        terms.append((-1, schur_multiply(phi_one_row(n - r + 1), phi_one_row(r - 1))))
+    return _signed_sum(terms)
 
 
 def phi_two_column(n: int, r: int) -> SchurExpansion:
@@ -106,12 +116,12 @@ def phi_two_column(n: int, r: int) -> SchurExpansion:
         raise InvalidShapeError("n must be a positive integer")
     if r < 0 or 2 * r > n:
         raise InvalidShapeError(f"need 0 <= 2r <= n, got n={n}, r={r}")
-    result = schur_multiply(phi_one_column(n - r), phi_one_column(r))
+    terms = [(1, schur_multiply(phi_one_column(n - r), phi_one_column(r)))]
     if r:
-        result = result - schur_multiply(
-            phi_one_column(n - r + 1), phi_one_column(r - 1)
+        terms.append(
+            (-1, schur_multiply(phi_one_column(n - r + 1), phi_one_column(r - 1)))
         )
-    return result
+    return _signed_sum(terms)
 
 
 def phi_hook(n: int, r: int, variant: str = "first") -> SchurExpansion:
@@ -128,16 +138,14 @@ def phi_hook(n: int, r: int, variant: str = "first") -> SchurExpansion:
         raise InvalidShapeError(f"need 0 <= r <= n-1, got n={n}, r={r}")
     if variant not in ("first", "second"):
         raise ValueError(f"variant must be 'first' or 'second', got {variant!r}")
-    result = SchurExpansion()
     if variant == "first":
-        for j in range(r + 1):
-            term = schur_multiply(phi_one_row(n - r + j), phi_one_column(r - j))
-            result = result - term if j % 2 else result + term
+        splits = [(n - r + j, r - j, (-1) ** j) for j in range(r + 1)]
     else:
-        for j in range(1, n - r + 1):
-            term = schur_multiply(phi_one_row(n - r - j), phi_one_column(r + j))
-            result = result + term if j % 2 else result - term
-    return result
+        splits = [(n - r - j, r + j, (-1) ** (j - 1)) for j in range(1, n - r + 1)]
+    return _signed_sum(
+        (sign, schur_multiply(phi_one_row(a), phi_one_column(b)))
+        for a, b, sign in splits
+    )
 
 
 def phi_hook_depth1_closed(n: int) -> SchurExpansion:

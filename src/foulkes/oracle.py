@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
+from math import lcm
 from typing import Iterable
 
 from .errors import ResourceBoundError
@@ -25,9 +26,12 @@ from .expansions import (
 )
 from .partitions import Partition, as_partition
 
-# Cap on |nu| for oracle runs; the substitution cost grows like the
-# square of the number of partitions of 2|nu|. Callers can raise it
-# explicitly (the CLI reads FOULKES_MAX_N).
+# Cap on |nu| for oracle runs. The first call at a size n fills the
+# character columns of the cycle types of 2n that it needs, about 2x
+# the time per step (cold: 0.1 s at n = 9, 0.2 s at 10, 0.3-0.4 s at
+# 11 on a 2-core VM, Python 3.11.7); a later call of that size adds
+# one column per power-sum term (about 10 ms at n = 10). Callers can
+# raise it explicitly (the CLI reads FOULKES_MAX_N).
 DEFAULT_MAX_WEIGHT = 9
 
 
@@ -60,7 +64,8 @@ def _check_cap(nu: Partition, max_weight: int | None) -> None:
         )
 
 
-def _multiply_out(mu: Partition, sign: int) -> dict[Partition, int]:
+@cache
+def _multiply_out(mu: Partition, sign: int) -> tuple[tuple[Partition, int], ...]:
     """prod_r (p_r p_r + sign * p_2r) over the parts r of mu, as integer
     coefficients keyed by the sorted parts of each power-sum product."""
     acc: dict[Partition, int] = {(): 1}
@@ -72,20 +77,25 @@ def _multiply_out(mu: Partition, sign: int) -> dict[Partition, int]:
             double = tuple(sorted(key + (2 * r,), reverse=True))
             step[double] = step.get(double, 0) + sign * c
         acc = {key: c for key, c in step.items() if c}
-    return acc
+    return tuple(acc.items())
 
 
 @cache
 def _oracle(nu: Partition, inner: str) -> SchurExpansion:
     # Each p_r becomes (p_r p_r +- p_2r) / 2: multiply out the integer
-    # brackets and apply the 1/2^len(mu) once per resulting term.
+    # brackets and sum the terms as integers over the common
+    # denominator of every coeff / 2^len(mu).
     sign = 1 if inner == "s2" else -1
-    acc: dict[Partition, Fraction] = {}
-    for mu, coeff in schur_to_powersum(nu).items():
-        weight = coeff / (1 << len(mu))
-        for key, c in _multiply_out(mu, sign).items():
-            acc[key] = acc.get(key, 0) + weight * c
-    return powersum_to_schur(PowerSumExpansion(acc))
+    terms = schur_to_powersum(nu).items()
+    denom = lcm(*(c.denominator << len(mu) for mu, c in terms))
+    acc: dict[Partition, int] = {}
+    for mu, c in terms:
+        weight = c.numerator * (denom // (c.denominator << len(mu)))
+        for key, m in _multiply_out(mu, sign):
+            acc[key] = acc.get(key, 0) + weight * m
+    return powersum_to_schur(
+        PowerSumExpansion({key: Fraction(v, denom) for key, v in acc.items() if v})
+    )
 
 
 def oracle_plethysm_s2(
