@@ -4,8 +4,11 @@ Closed formulas live in :mod:`foulkes.formulas`, together with the
 formula dispatcher :func:`decompose` that picks one for a given nu; a
 slow but independent brute-force expansion lives in
 :mod:`foulkes.oracle`.  Everything is integer or Fraction arithmetic,
-nothing is floating point.
+nothing is floating point.  Intermediate results are memoized for the
+life of the process; :func:`clear_caches` empties every memo.
 """
+
+import sys
 
 from .errors import (
     DegreeMismatchError,
@@ -70,6 +73,24 @@ from .partitions import (
 
 __version__ = "0.1.0"
 
+
+def clear_caches() -> None:
+    """Empty every functools.cache memo of the package's loaded modules.
+
+    That is the partition lists, the character columns, the
+    Littlewood-Richardson products, the one-row and one-column bases
+    and their factor products, and the oracle results. The memos are
+    process-global and grow with the sizes asked for; clearing them
+    frees that memory and changes no result, the next call only
+    computes again.
+    """
+    for name, module in list(sys.modules.items()):
+        if module is not None and (name == __name__ or name.startswith(__name__ + ".")):
+            for value in vars(module).values():
+                if hasattr(value, "cache_clear"):
+                    value.cache_clear()
+
+
 __all__ = [
     "DEFAULT_MAX_WEIGHT",
     "DegreeMismatchError",
@@ -88,6 +109,7 @@ __all__ = [
     "UnsupportedShapeError",
     "as_partition",
     "centralizer_order",
+    "clear_caches",
     "conjugate",
     "count_even_shifts",
     "decompose",

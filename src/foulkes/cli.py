@@ -252,6 +252,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     except FoulkesError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3 if isinstance(exc, ResourceBoundError) else 2
+    except (MemoryError, RecursionError) as exc:
+        # Running out of memory or stack is a resource bound too; the
+        # message is fixed so that it stays one line.
+        print(f"error: out of resources ({type(exc).__name__})", file=sys.stderr)
+        return 3
     text = json.dumps(output) if isinstance(output, dict) else "\n".join(output)
     try:
         sys.stdout.write(text + "\n")

@@ -160,12 +160,26 @@ class SchurExpansion:
 
 
 class PowerSumExpansion:
-    """A finite rational combination of power sums of one degree."""
+    """A finite rational combination of power sums of one degree.
+
+    The constructor validates like SchurExpansion's; the oracle and
+    schur_to_powersum build theirs from valid keys and Fraction values
+    through _trusted, which only drops zero coefficients.
+    """
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping | Iterable = ()):
         self._terms = _collect(terms, _as_fraction)
+
+    @classmethod
+    def _trusted(cls, terms: dict[Partition, Fraction]) -> "PowerSumExpansion":
+        """Wrap a dict whose keys are partitions of one size and whose
+        values are Fractions, dropping zero coefficients and checking
+        nothing."""
+        self = cls.__new__(cls)
+        self._terms = {mu: c for mu, c in terms.items() if c}
+        return self
 
     @property
     def degree(self) -> int | None:
@@ -319,7 +333,7 @@ def schur_to_powersum(nu: Iterable[int]) -> PowerSumExpansion:
         ch = dict(zip(*_chi(mu))).get(i)
         if ch:
             data[mu] = Fraction(ch, centralizer_order(mu))
-    return PowerSumExpansion(data)
+    return PowerSumExpansion._trusted(data)
 
 
 def powersum_to_schur(f: PowerSumExpansion) -> SchurExpansion:

@@ -8,10 +8,24 @@ into irreducibles for nu with at most two rows, at most two columns, or
 hook shape, plus dedicated closed forms for nu = (n-1, 1) and
 nu = (2, 1^(n-2)) and a classification table for nu = (n-2, 1, 1) and
 nu = (n-2, 2). decompose picks the formula that fits a given nu.
+
+Plethysm by s_(2) is a ring map, so every term of the two-row,
+two-column and hook sums is a factor product h_a[s_2]*h_b[s_2],
+e_a[s_2]*e_b[s_2] or h_a[s_2]*e_b[s_2] of the one-row (h_a[s_2]) and
+one-column (e_a[s_2]) decompositions. Those bases and their products
+are memoized, the products on (a, b, kind) with kind "hh", "ee" or
+"he" and the factors of "hh" and "ee" in a fixed order. So each
+product is computed once per process and shared: by decompose with
+either inner (e2 only applies omega), by neighbouring r of one n (the
+second term of phi_two_row(n, r+1) is the first of phi_two_row(n, r),
+and likewise for two columns), and by every hook of one n in both
+variants. Like the other memos of the package these are process-global
+and grow with the sizes asked for; foulkes.clear_caches() empties them.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from typing import Iterable
 
 from .errors import InvalidShapeError, UnsupportedShapeError
@@ -51,12 +65,26 @@ _TABLE_CLASSES = (
 )
 
 
+@cache
+def _one_row(n: int) -> SchurExpansion:
+    return SchurExpansion._trusted(
+        {double(alpha): 1 for alpha in generate_partitions(n)}
+    )
+
+
+@cache
+def _one_column(n: int) -> SchurExpansion:
+    return SchurExpansion._trusted(
+        {double_hook(alpha): 1 for alpha in generate_distinct_partitions(n)}
+    )
+
+
 def phi_one_row(n: int) -> SchurExpansion:
     """Decomposition for nu = (n): one copy of s_lam for every doubled
     partition lam = 2 * alpha with alpha a partition of n."""
     if n < 0:
         raise InvalidShapeError("n must be nonnegative")
-    return SchurExpansion({double(alpha): 1 for alpha in generate_partitions(n)})
+    return _one_row(n)
 
 
 def phi_one_column(n: int) -> SchurExpansion:
@@ -64,9 +92,18 @@ def phi_one_column(n: int) -> SchurExpansion:
     double hook lam built from a distinct-part partition of n."""
     if n < 0:
         raise InvalidShapeError("n must be nonnegative")
-    return SchurExpansion(
-        {double_hook(alpha): 1 for alpha in generate_distinct_partitions(n)}
-    )
+    return _one_column(n)
+
+
+_BASES = {"h": _one_row, "e": _one_column}
+
+
+@cache
+def _factor_product(a: int, b: int, kind: str) -> SchurExpansion:
+    """The product of the bases kind[0]_a and kind[1]_b, h for the one
+    row and e for the one column. The sums here pass a >= b to the
+    symmetric kinds "hh" and "ee", so each such product has one entry."""
+    return schur_multiply(_BASES[kind[0]](a), _BASES[kind[1]](b))
 
 
 def induce_product(f: SchurExpansion, g: SchurExpansion) -> SchurExpansion:
@@ -100,9 +137,9 @@ def phi_two_row(n: int, r: int) -> SchurExpansion:
         raise InvalidShapeError("n must be a positive integer")
     if r < 0 or r > n - r:
         raise InvalidShapeError(f"need 0 <= r <= n-r, got n={n}, r={r}")
-    terms = [(1, schur_multiply(phi_one_row(n - r), phi_one_row(r)))]
+    terms = [(1, _factor_product(n - r, r, "hh"))]
     if r:
-        terms.append((-1, schur_multiply(phi_one_row(n - r + 1), phi_one_row(r - 1))))
+        terms.append((-1, _factor_product(n - r + 1, r - 1, "hh")))
     return _signed_sum(terms)
 
 
@@ -116,11 +153,9 @@ def phi_two_column(n: int, r: int) -> SchurExpansion:
         raise InvalidShapeError("n must be a positive integer")
     if r < 0 or 2 * r > n:
         raise InvalidShapeError(f"need 0 <= 2r <= n, got n={n}, r={r}")
-    terms = [(1, schur_multiply(phi_one_column(n - r), phi_one_column(r)))]
+    terms = [(1, _factor_product(n - r, r, "ee"))]
     if r:
-        terms.append(
-            (-1, schur_multiply(phi_one_column(n - r + 1), phi_one_column(r - 1)))
-        )
+        terms.append((-1, _factor_product(n - r + 1, r - 1, "ee")))
     return _signed_sum(terms)
 
 
@@ -143,8 +178,7 @@ def phi_hook(n: int, r: int, variant: str = "first") -> SchurExpansion:
     else:
         splits = [(n - r - j, r + j, (-1) ** (j - 1)) for j in range(1, n - r + 1)]
     return _signed_sum(
-        (sign, schur_multiply(phi_one_row(a), phi_one_column(b)))
-        for a, b, sign in splits
+        (sign, _factor_product(a, b, "he")) for a, b, sign in splits
     )
 
 

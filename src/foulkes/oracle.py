@@ -93,9 +93,8 @@ def _oracle(nu: Partition, inner: str) -> SchurExpansion:
         weight = c.numerator * (denom // (c.denominator << len(mu)))
         for key, m in _multiply_out(mu, sign):
             acc[key] = acc.get(key, 0) + weight * m
-    return powersum_to_schur(
-        PowerSumExpansion({key: Fraction(v, denom) for key, v in acc.items() if v})
-    )
+    data = {key: Fraction(v, denom) for key, v in acc.items()}
+    return powersum_to_schur(PowerSumExpansion._trusted(data))
 
 
 def oracle_plethysm_s2(

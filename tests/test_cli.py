@@ -129,6 +129,20 @@ class TestDecompose:
         assert plain[2] == ""
 
 
+class TestExhaustedResources:
+    @pytest.mark.parametrize("error", [MemoryError, RecursionError])
+    def test_one_line_and_exit_3(self, capsys, monkeypatch, error):
+        def exhausted(nu, method, inner):
+            raise error("first line\nsecond line")
+
+        monkeypatch.setattr(cli, "decompose", exhausted)
+        code, out, err = run(capsys, "decompose", "3,1")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+
 class TestOracle:
     def test_matches_formula_terms(self, capsys):
         _, formula_out, _ = run(capsys, "decompose", "2,1", "--format", "json")

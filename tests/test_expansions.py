@@ -201,6 +201,21 @@ class TestPowerSumExpansion:
         g = PowerSumExpansion({(3,): Fraction(1, 3), (1, 1, 1): Fraction(1, 6)})
         assert f * g == g * f
 
+    @given(
+        st.integers(0, 6).flatmap(
+            lambda n: st.dictionaries(
+                st.sampled_from(list(generate_partitions(n))),
+                st.fractions(-3, 3, max_denominator=6),
+                max_size=6,
+            )
+        )
+    )
+    def test_trusted_matches_validating_constructor(self, d):
+        got, want = PowerSumExpansion._trusted(d), PowerSumExpansion(d)
+        assert got == want
+        assert got.items() == want.items()
+        assert got.degree == want.degree
+
 
 class TestMnCharacter:
     @pytest.mark.parametrize("lam,row", S3_TABLE.items())

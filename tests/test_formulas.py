@@ -6,8 +6,12 @@ internal consistency between formula variants, and the table
 statistics on hand-checked rows.
 """
 
+import sys
+
 import pytest
 
+import foulkes.cli
+from foulkes import clear_caches, formulas, lr, oracle_plethysm_s2
 from foulkes.errors import InvalidShapeError, UnsupportedShapeError
 from foulkes.expansions import SchurExpansion, omega_schur, total_dimension
 from foulkes.formulas import (
@@ -67,6 +71,8 @@ class TestBaseCases:
     def test_negative_rejected(self):
         with pytest.raises(InvalidShapeError):
             phi_one_row(-1)
+        with pytest.raises(InvalidShapeError):
+            phi_one_column(-1)
         with pytest.raises(InvalidShapeError):
             phi_one_column(-2)
 
@@ -310,3 +316,70 @@ class TestDecompose:
     def test_e2_is_omega_of_s2(self, nu):
         formula, method = decompose(nu)
         assert decompose(nu, inner="e2") == (omega_schur(formula), method)
+
+
+def _memos():
+    """Every functools.cache memo among the globals of the loaded
+    foulkes modules."""
+    return [
+        value
+        for name, module in list(sys.modules.items())
+        if name == "foulkes" or name.startswith("foulkes.")
+        for value in vars(module).values()
+        if hasattr(value, "cache_clear")
+    ]
+
+
+def _misses():
+    return (
+        formulas._factor_product.cache_info().misses,
+        lr._product_terms.cache_info().misses,
+    )
+
+
+class TestMemos:
+    @pytest.mark.parametrize("kind", ["hh", "ee", "he"])
+    def test_factor_product_equals_fresh_product(self, kind):
+        # the bases rebuilt through the validating constructor
+        fresh = {
+            "h": lambda n: SchurExpansion(
+                {double(a): 1 for a in generate_partitions(n)}
+            ),
+            "e": lambda n: SchurExpansion(
+                {double_hook(a): 1 for a in generate_distinct_partitions(n)}
+            ),
+        }
+        for a in range(11):
+            for b in range(11 - a):
+                want = schur_multiply(fresh[kind[0]](a), fresh[kind[1]](b))
+                assert formulas._factor_product(a, b, kind) == want
+
+    @pytest.mark.parametrize("nu", [(5, 3), (6,), (2, 2, 1, 1), (1,) * 5, (4, 1, 1)])
+    def test_dual_adds_no_miss(self, nu):
+        decompose(nu)
+        misses = _misses()
+        decompose(nu, inner="e2")
+        assert _misses() == misses
+
+    @pytest.mark.parametrize("phi", [phi_two_row, phi_two_column])
+    @pytest.mark.parametrize("n, r", [(6, 0), (7, 1), (8, 3)])
+    def test_neighbouring_r_share_a_product(self, phi, n, r):
+        formulas._factor_product.cache_clear()
+        phi(n, r)
+        before = formulas._factor_product.cache_info()
+        phi(n, r + 1)
+        after = formulas._factor_product.cache_info()
+        # one new product, and the other term taken from the memo
+        assert (after.misses, after.hits) == (before.misses + 1, before.hits + 1)
+
+    def test_clear_caches_empties_every_memo(self):
+        shapes = [(3, 2), (2, 2, 1), (3, 1, 1), (4,)]
+        results = [(decompose(nu), oracle_plethysm_s2(nu)) for nu in shapes]
+        # the command line fills its own memo too
+        assert foulkes.cli.main(["compare", "2,2,1"]) == 0
+        memos = _memos()
+        assert formulas._factor_product in memos and lr._product_terms in memos
+        assert all(memo.cache_info().currsize for memo in memos)
+        clear_caches()
+        assert [memo.cache_info().currsize for memo in memos] == [0] * len(memos)
+        assert [(decompose(nu), oracle_plethysm_s2(nu)) for nu in shapes] == results
