@@ -78,8 +78,9 @@ def clear_caches() -> None:
     """Empty every functools.cache memo of the package's loaded modules.
 
     That is the partition lists, the character columns, the
-    Littlewood-Richardson products, the one-row and one-column bases
-    and their factor products, and the oracle results. The memos are
+    Littlewood-Richardson products and the shared copies of their
+    shapes, the one-row and one-column bases and their factor
+    products, and the oracle results. The memos are
     process-global and grow with the sizes asked for; clearing them
     frees that memory and changes no result, the next call only
     computes again.

@@ -35,26 +35,6 @@ from .partitions import Partition, as_partition
 DEFAULT_MAX_WEIGHT = 9
 
 
-def p_plethysm_h2(r: int) -> PowerSumExpansion:
-    """p_r composed with the complete homogeneous h_2 = s_(2).
-
-    Equals (p_r * p_r + p_2r) / 2.
-    """
-    if r < 1:
-        raise ValueError("r must be a positive integer")
-    return PowerSumExpansion({(r, r): Fraction(1, 2), (2 * r,): Fraction(1, 2)})
-
-
-def p_plethysm_e2(r: int) -> PowerSumExpansion:
-    """p_r composed with the elementary e_2 = s_(1,1).
-
-    Equals (p_r * p_r - p_2r) / 2.
-    """
-    if r < 1:
-        raise ValueError("r must be a positive integer")
-    return PowerSumExpansion({(r, r): Fraction(1, 2), (2 * r,): Fraction(-1, 2)})
-
-
 def _check_cap(nu: Partition, max_weight: int | None) -> None:
     cap = DEFAULT_MAX_WEIGHT if max_weight is None else max_weight
     if sum(nu) > cap:

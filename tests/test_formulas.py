@@ -379,6 +379,7 @@ class TestMemos:
         assert foulkes.cli.main(["compare", "2,2,1"]) == 0
         memos = _memos()
         assert formulas._factor_product in memos and lr._product_terms in memos
+        assert lr._shape in memos
         assert all(memo.cache_info().currsize for memo in memos)
         clear_caches()
         assert [memo.cache_info().currsize for memo in memos] == [0] * len(memos)

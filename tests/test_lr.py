@@ -9,13 +9,15 @@ definition, so it anchors everything else.
 
 import itertools
 import math
+import tracemalloc
 from collections import Counter
 
 import pytest
 
+from foulkes import clear_caches, formulas
 from foulkes.expansions import SchurExpansion, total_dimension
 from foulkes.formulas import phi_one_column, phi_one_row
-from foulkes.lr import _product_terms, lr_coefficient, schur_multiply
+from foulkes.lr import _product_terms, _shape, lr_coefficient, schur_multiply
 from foulkes.partitions import conjugate, generate_partitions, irreducible_dimension
 
 
@@ -88,13 +90,73 @@ class TestEnginesAgree:
         for a in range(0, total + 1):
             for mu in generate_partitions(a):
                 for nu in generate_partitions(total - a):
-                    terms = dict(_product_terms(mu, nu))
+                    terms = dict(zip(*_product_terms(mu, nu)))
                     for lam in generate_partitions(total):
                         assert terms.get(lam, 0) == lr_coefficient(lam, mu, nu), (
                             lam,
                             mu,
                             nu,
                         )
+
+
+class TestCompactMemo:
+    """_product_terms stores each product as parallel tuples: shapes
+    shared through _shape, and int coefficients."""
+
+    def test_shapes_are_shared_and_ordered(self):
+        f, g = phi_one_row(4), phi_one_column(3)
+        product = schur_multiply(f, g)
+        for mu in f.support():
+            for nu in g.support():
+                for a, b in ((mu, nu), (nu, mu)):
+                    shapes, coefficients = _product_terms(a, b)
+                    assert len(shapes) == len(coefficients)
+                    assert shapes == tuple(sorted(set(shapes), reverse=True))
+                    assert all(type(c) is int for c in coefficients)
+                    assert all(lam is _shape(lam) for lam in shapes)
+        # an equal tuple built elsewhere maps to the shared copy
+        lam = product.support()[0]
+        assert _shape(tuple(list(lam))) is lam
+        # so do the keys of a product and of the factor-product memo
+        assert all(lam is _shape(lam) for lam in product._terms)
+        he = formulas._factor_product(3, 2, "he")
+        assert he and all(lam is _shape(lam) for lam in he._terms)
+
+    def test_memo_bytes_per_term(self):
+        # Every LR pair that the factor products with a + b <= 10 need,
+        # in the order schur_multiply passes them.
+        clear_caches()
+        base = {"h": phi_one_row, "e": phi_one_column}
+        kinds = [
+            (a, b, kind)
+            for kind in ("hh", "ee", "he")
+            for a in range(11)
+            for b in range(11 - a)
+        ]
+        pairs = sorted(
+            {
+                (mu, nu) if (len(nu), nu) <= (len(mu), mu) else (nu, mu)
+                for a, b, kind in kinds
+                for mu in base[kind[0]](a).support()
+                for nu in base[kind[1]](b).support()
+            }
+        )
+        tracemalloc.start()
+        try:
+            for pair in pairs:
+                _product_terms(*pair)
+            grown = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        terms = sum(len(_product_terms(*pair)[0]) for pair in pairs)
+        # about 47 B per term; a fresh tuple per term costs about 155 B
+        assert grown / terms < 60, (grown, terms)
+        # the pairs are exactly what the factor products look up
+        misses = _product_terms.cache_info().misses
+        for a, b, kind in kinds:
+            formulas._factor_product(a, b, kind)
+        info = _product_terms.cache_info()
+        assert (info.misses, info.currsize) == (misses, len(pairs))
 
 
 class TestOperandOrder:

@@ -26,10 +26,20 @@ from foulkes.oracle import (
     _multiply_out,
     oracle_plethysm_e2,
     oracle_plethysm_s2,
-    p_plethysm_e2,
-    p_plethysm_h2,
 )
 from foulkes.partitions import generate_partitions, irreducible_dimension
+
+
+# The substitutions p_r -> p_r[s_2] and p_r -> p_r[s_(1,1)] as power-sum
+# expansions: the reference for the integer brackets of _multiply_out.
+def p_plethysm_h2(r):
+    """p_r composed with h_2 = s_(2): (p_r * p_r + p_2r) / 2."""
+    return PowerSumExpansion({(r, r): Fraction(1, 2), (2 * r,): Fraction(1, 2)})
+
+
+def p_plethysm_e2(r):
+    """p_r composed with e_2 = s_(1,1): (p_r * p_r - p_2r) / 2."""
+    return PowerSumExpansion({(r, r): Fraction(1, 2), (2 * r,): Fraction(-1, 2)})
 
 
 class TestPowerSumSubstitution:
