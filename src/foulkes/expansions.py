@@ -1,15 +1,19 @@
 """Exact expansions in the Schur and power-sum bases.
 
 SchurExpansion carries integer multiplicities, PowerSumExpansion exact
-rational coefficients (fractions.Fraction). Both are immutable,
-homogeneous (every index partition has one common size) and drop zero
-coefficients on construction. Symmetric group character values come
-from the Murnaghan-Nakayama rule run forwards: the column chi^lam_mu
-over every lam, which is the Schur expansion of p_mu, is p_mu[0] times
-the column of mu[1:], each shape in it growing by every mu[0]-cell
-border strip. Columns are memoized on the cycle type mu alone, the
-strips added on the (shape, strip size) pair; the memos are
-process-global and a concurrent duplicate computation is harmless.
+rational coefficients (fractions.Fraction). Both are one class body,
+_Expansion: immutable, homogeneous (every index partition has one
+common size) and free of zero coefficients. The subclasses differ only
+in _coerce, the coefficient rule, plus the power-sum product; results
+of their arithmetic skip revalidation through _trusted.
+
+Symmetric group character values come from the Murnaghan-Nakayama rule
+run forwards: the column chi^lam_mu over every lam, which is the Schur
+expansion of p_mu, is p_mu[0] times the column of mu[1:], each shape in
+it growing by every mu[0]-cell border strip. Columns are memoized on
+the cycle type mu alone, the strips added on the (shape, strip size)
+pair; the memos are process-global and a concurrent duplicate
+computation is harmless.
 """
 
 from __future__ import annotations
@@ -37,48 +41,38 @@ def _as_fraction(value) -> Fraction:
     return Fraction(value)
 
 
-def _collect(terms, coerce) -> dict:
-    data: dict[Partition, object] = {}
-    items = terms.items() if isinstance(terms, Mapping) else terms
-    for lam, coeff in items:
-        lam = as_partition(lam)
-        c = coerce(coeff)
-        if not c:
-            continue
-        if lam in data:
-            merged = data[lam] + c
-            if merged:
-                data[lam] = merged
-            else:
-                del data[lam]
-        else:
-            data[lam] = c
-    sizes = {sum(lam) for lam in data}
-    if len(sizes) > 1:
-        raise DegreeMismatchError(f"mixed index partition sizes {sorted(sizes)}")
-    return data
+class _Expansion:
+    """An immutable finite combination of one basis, indexed by
+    partitions of one common size, with no zero coefficients.
 
-
-class SchurExpansion:
-    """A finite integer combination of Schur functions of one degree.
-
+    The two bases share this body and differ only in _coerce, the rule
+    that turns a constructor coefficient or a scalar into a stored one.
     The constructor validates every index partition, every coefficient
-    and the common degree. Results built inside the package from values
-    that are already valid skip that: +, -, unary -, integer scaling,
-    omega_schur and lr.schur_multiply go through _trusted, which only
-    drops zero coefficients. + and - still raise DegreeMismatchError on
-    operands of two different degrees.
+    and the common degree. Results built from values that are already
+    valid skip that: +, -, unary -, scaling and the power-sum product
+    go through _trusted, which only drops zero coefficients. + and -
+    still raise DegreeMismatchError on operands of two different
+    degrees, and TypeError on operands of two different bases.
     """
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping | Iterable = ()):
-        self._terms = _collect(terms, operator.index)
+        data: dict[Partition, object] = {}
+        items = terms.items() if isinstance(terms, Mapping) else terms
+        for lam, coeff in items:
+            lam = as_partition(lam)
+            data[lam] = data.get(lam, 0) + self._coerce(coeff)
+        self._terms = {lam: c for lam, c in data.items() if c}
+        sizes = {sum(lam) for lam in self._terms}
+        if len(sizes) > 1:
+            raise DegreeMismatchError(f"mixed index partition sizes {sorted(sizes)}")
 
     @classmethod
-    def _trusted(cls, terms: dict[Partition, int]) -> "SchurExpansion":
+    def _trusted(cls, terms: dict[Partition, object]):
         """Wrap a dict whose keys are partitions of one size and whose
-        values are ints, dropping zero coefficients and checking nothing."""
+        values are already of the basis' coefficient type, dropping zero
+        coefficients and checking nothing."""
         self = cls.__new__(cls)
         self._terms = {lam: c for lam, c in terms.items() if c}
         return self
@@ -90,16 +84,16 @@ class SchurExpansion:
             return sum(lam)
         return None
 
-    def coefficient(self, lam: Iterable[int]) -> int:
-        return self._terms.get(as_partition(lam), 0)
+    def coefficient(self, lam: Iterable[int]):
+        return self._terms.get(as_partition(lam), self._coerce(0))
 
-    def __getitem__(self, lam: Iterable[int]) -> int:
+    def __getitem__(self, lam: Iterable[int]):
         return self.coefficient(lam)
 
     def __contains__(self, lam) -> bool:
         return as_partition(lam) in self._terms
 
-    def items(self) -> tuple[tuple[Partition, int], ...]:
+    def items(self) -> tuple[tuple[Partition, object], ...]:
         """(partition, coefficient) pairs in canonical (reverse-lex) order."""
         return tuple(sorted(self._terms.items(), reverse=True))
 
@@ -116,142 +110,74 @@ class SchurExpansion:
         return bool(self._terms)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, SchurExpansion):
+        if isinstance(other, type(self)):
             return self._terms == other._terms
         return NotImplemented
 
-    def _compatible(self, other: "SchurExpansion") -> None:
+    def _combine(self, other, sign: int):
+        if not isinstance(other, type(self)):
+            return NotImplemented
         a, b = self.degree, other.degree
         if a is not None and b is not None and a != b:
             raise DegreeMismatchError(f"cannot combine degrees {a} and {b}")
-
-    def _combine(self, other: "SchurExpansion", sign: int) -> "SchurExpansion":
-        self._compatible(other)
         data = dict(self._terms)
         for lam, c in other._terms.items():
             data[lam] = data.get(lam, 0) + sign * c
-        return SchurExpansion._trusted(data)
+        return self._trusted(data)
 
-    def __add__(self, other: "SchurExpansion") -> "SchurExpansion":
-        if not isinstance(other, SchurExpansion):
-            return NotImplemented
+    def __add__(self, other):
         return self._combine(other, 1)
 
-    def __sub__(self, other: "SchurExpansion") -> "SchurExpansion":
-        if not isinstance(other, SchurExpansion):
-            return NotImplemented
+    def __sub__(self, other):
         return self._combine(other, -1)
 
-    def __neg__(self) -> "SchurExpansion":
-        return SchurExpansion._trusted({lam: -c for lam, c in self._terms.items()})
+    def __neg__(self):
+        return self._trusted({lam: -c for lam, c in self._terms.items()})
 
-    def __mul__(self, scalar: int) -> "SchurExpansion":
-        if not isinstance(scalar, int):
-            return NotImplemented
-        return SchurExpansion._trusted(
-            {lam: scalar * c for lam, c in self._terms.items()}
-        )
+    def __mul__(self, scalar):
+        k = self._coerce(scalar)
+        return self._trusted({lam: k * c for lam, c in self._terms.items()})
 
     __rmul__ = __mul__
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{lam}: {c}" for lam, c in self.items())
-        return f"SchurExpansion({{{inner}}})"
+        return f"{type(self).__name__}({{{inner}}})"
 
 
-class PowerSumExpansion:
-    """A finite rational combination of power sums of one degree.
+class SchurExpansion(_Expansion):
+    """A finite integer combination of Schur functions of one degree.
 
-    The constructor validates like SchurExpansion's; the oracle and
-    schur_to_powersum build theirs from valid keys and Fraction values
-    through _trusted, which only drops zero coefficients.
+    Coefficients and scalars must be integers (operator.index). Besides
+    the arithmetic, omega_schur, powersum_to_schur and
+    lr.schur_multiply build theirs through _trusted.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ()
+    _coerce = staticmethod(operator.index)
 
-    def __init__(self, terms: Mapping | Iterable = ()):
-        self._terms = _collect(terms, _as_fraction)
 
-    @classmethod
-    def _trusted(cls, terms: dict[Partition, Fraction]) -> "PowerSumExpansion":
-        """Wrap a dict whose keys are partitions of one size and whose
-        values are Fractions, dropping zero coefficients and checking
-        nothing."""
-        self = cls.__new__(cls)
-        self._terms = {mu: c for mu, c in terms.items() if c}
-        return self
+class PowerSumExpansion(_Expansion):
+    """A finite rational combination of power sums of one degree.
 
-    @property
-    def degree(self) -> int | None:
-        for mu in self._terms:
-            return sum(mu)
-        return None
+    Coefficients and scalars become Fractions, and a float is rejected.
+    Besides the arithmetic, the oracle and schur_to_powersum build
+    theirs through _trusted. Two power-sum expansions multiply as
+    p_mu * p_nu = p_(mu union nu); the degrees add.
+    """
 
-    def coefficient(self, mu: Iterable[int]) -> Fraction:
-        return self._terms.get(as_partition(mu), Fraction(0))
-
-    def __getitem__(self, mu: Iterable[int]) -> Fraction:
-        return self.coefficient(mu)
-
-    def items(self) -> tuple[tuple[Partition, Fraction], ...]:
-        return tuple(sorted(self._terms.items(), reverse=True))
-
-    def support(self) -> tuple[Partition, ...]:
-        return tuple(sorted(self._terms, reverse=True))
-
-    def __len__(self) -> int:
-        return len(self._terms)
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, PowerSumExpansion):
-            return self._terms == other._terms
-        return NotImplemented
-
-    def _compatible(self, other: "PowerSumExpansion") -> None:
-        a, b = self.degree, other.degree
-        if a is not None and b is not None and a != b:
-            raise DegreeMismatchError(f"cannot combine degrees {a} and {b}")
-
-    def __add__(self, other: "PowerSumExpansion") -> "PowerSumExpansion":
-        if not isinstance(other, PowerSumExpansion):
-            return NotImplemented
-        self._compatible(other)
-        data = dict(self._terms)
-        for mu, c in other._terms.items():
-            data[mu] = data.get(mu, Fraction(0)) + c
-        return PowerSumExpansion(data)
-
-    def __sub__(self, other: "PowerSumExpansion") -> "PowerSumExpansion":
-        if not isinstance(other, PowerSumExpansion):
-            return NotImplemented
-        return self + (-1) * other
-
-    def __neg__(self) -> "PowerSumExpansion":
-        return (-1) * self
+    __slots__ = ()
+    _coerce = staticmethod(_as_fraction)
 
     def __mul__(self, other):
-        # p_mu * p_nu = p_(sorted concatenation); degrees add.
-        if isinstance(other, PowerSumExpansion):
-            data: dict[Partition, Fraction] = {}
-            for m1, c1 in self._terms.items():
-                for m2, c2 in other._terms.items():
-                    key = tuple(sorted(m1 + m2, reverse=True))
-                    data[key] = data.get(key, Fraction(0)) + c1 * c2
-            return PowerSumExpansion(data)
-        scalar = _as_fraction(other)
-        return PowerSumExpansion(
-            {mu: scalar * c for mu, c in self._terms.items()}
-        )
-
-    def __rmul__(self, scalar):
-        return self.__mul__(scalar)
-
-    def __repr__(self) -> str:
-        inner = ", ".join(f"{mu}: {c}" for mu, c in self.items())
-        return f"PowerSumExpansion({{{inner}}})"
+        if not isinstance(other, PowerSumExpansion):
+            return super().__mul__(other)
+        data: dict[Partition, Fraction] = {}
+        for m1, c1 in self._terms.items():
+            for m2, c2 in other._terms.items():
+                key = tuple(sorted(m1 + m2, reverse=True))
+                data[key] = data.get(key, 0) + c1 * c2
+        return self._trusted(data)
 
 
 @cache

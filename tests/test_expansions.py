@@ -1,6 +1,7 @@
 """Expansion containers, symmetric-group characters, basis changes."""
 
 import math
+import operator
 from fractions import Fraction
 from functools import cache
 
@@ -215,6 +216,128 @@ class TestPowerSumExpansion:
         assert got == want
         assert got.items() == want.items()
         assert got.degree == want.degree
+
+
+def powersum_dicts(n):
+    return st.dictionaries(
+        st.sampled_from(list(generate_partitions(n))),
+        st.fractions(-3, 3, max_denominator=6),
+        max_size=6,
+    )
+
+
+class TestTrustedPowerSumArithmetic:
+    """Power-sum +, -, unary -, scaling and the product skip
+    revalidation; each must still equal the validating constructor on
+    the same plain dict arithmetic."""
+
+    @given(
+        st.integers(0, 5).flatmap(
+            lambda n: st.tuples(powersum_dicts(n), powersum_dicts(n))
+        ),
+        st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=4)),
+    )
+    def test_matches_validating_constructor(self, dicts, k):
+        df, dg = dicts
+        f, g = PowerSumExpansion(df), PowerSumExpansion(dg)
+        keys = set(df) | set(dg)
+        product = [
+            (tuple(sorted(m1 + m2, reverse=True)), c1 * c2)
+            for m1, c1 in df.items()
+            for m2, c2 in dg.items()
+        ]
+        cases = [
+            (f + g, {mu: df.get(mu, 0) + dg.get(mu, 0) for mu in keys}),
+            (f - g, {mu: df.get(mu, 0) - dg.get(mu, 0) for mu in keys}),
+            (-f, {mu: -c for mu, c in df.items()}),
+            (k * f, {mu: k * c for mu, c in df.items()}),
+            (f * k, {mu: k * c for mu, c in df.items()}),
+            (f * g, product),
+        ]
+        for got, expected in cases:
+            want = PowerSumExpansion(expected)
+            assert got == want
+            assert got.items() == want.items()
+            assert got.degree == want.degree
+            assert all(isinstance(c, Fraction) for _, c in got.items())
+
+
+BASES = [
+    pytest.param(SchurExpansion, int, id="schur"),
+    pytest.param(PowerSumExpansion, Fraction, id="powersum"),
+]
+
+
+@pytest.mark.parametrize("cls, coefficient_type", BASES)
+class TestExpansionContract:
+    """What both bases promise alike, and what keeps them apart."""
+
+    @staticmethod
+    def sample(cls):
+        return cls({(2, 2): 1, (4,): 2, (3, 1): -1})
+
+    def test_missing_coefficient_type(self, cls, coefficient_type):
+        missing = self.sample(cls)[(1, 1, 1, 1)]
+        assert missing == 0
+        assert type(missing) is coefficient_type
+        assert type(cls()[(2,)]) is coefficient_type
+
+    def test_cross_type_equality_is_false(self, cls, coefficient_type):
+        other = PowerSumExpansion if cls is SchurExpansion else SchurExpansion
+        f, g = cls({(2,): 1}), other({(2,): 1})
+        assert not f == g and f != g
+        assert not g == f and g != f
+        assert cls() != other()
+
+    @pytest.mark.parametrize("op", [operator.add, operator.sub])
+    def test_cross_type_arithmetic_raises(self, cls, coefficient_type, op):
+        other = PowerSumExpansion if cls is SchurExpansion else SchurExpansion
+        f, g = cls({(2,): 1}), other({(2,): 1})
+        with pytest.raises(TypeError):
+            op(f, g)
+        with pytest.raises(TypeError):
+            op(g, f)
+
+    def test_unhashable(self, cls, coefficient_type):
+        with pytest.raises(TypeError):
+            hash(self.sample(cls))
+        with pytest.raises(TypeError):
+            hash(cls())
+
+    def test_float_scaling_rejected(self, cls, coefficient_type):
+        f = self.sample(cls)
+        with pytest.raises(TypeError):
+            f * 2.0
+        with pytest.raises(TypeError):
+            0.5 * f
+
+    def test_repr_names_class(self, cls, coefficient_type):
+        assert repr(self.sample(cls)).startswith(cls.__name__ + "(")
+        assert repr(cls()) == cls.__name__ + "({})"
+
+    def test_trusted_returns_own_class(self, cls, coefficient_type):
+        f = cls._trusted({(2, 1): coefficient_type(3), (3,): coefficient_type(0)})
+        assert type(f) is cls
+        assert f == cls({(2, 1): 3})
+        assert type(-f) is cls and type(f + f) is cls and type(2 * f) is cls
+
+    def test_zero_scaling_and_self_difference_are_empty(self, cls, coefficient_type):
+        f = self.sample(cls)
+        for zero in (0 * f, f * 0, f - f, f + (-f)):
+            assert len(zero) == 0
+            assert not zero
+            assert zero == cls()
+            assert zero.degree is None
+
+    def test_membership_and_iteration_canonical(self, cls, coefficient_type):
+        f = self.sample(cls)
+        assert list(f) == [(4,), (3, 1), (2, 2)]
+        assert list(f) == [lam for lam, _ in f.items()]
+        assert tuple(f) == f.support()
+        assert (3, 1) in f and [3, 1] in f
+        assert (2, 1, 1) not in f
+        assert (5,) not in f
+        assert all(type(c) is coefficient_type for _, c in f.items())
 
 
 class TestMnCharacter:
