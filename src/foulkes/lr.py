@@ -12,9 +12,12 @@ cross-checks the two engines against each other.
 
 The strip enumeration costs more with every strip, so schur_multiply
 hands _product_terms the factor with fewer rows as the one whose rows
-become strips, and the memo holds each unordered pair once. Each strip
-visits only its addable rows and bounds every row's count from below
-by what the rows under it can still take (see _product_terms).
+become strips, and the memo holds each unordered pair once. The strips
+are added level by level: because the lattice condition links each
+strip only to the one before it, chains that reach the same shape with
+the same bounds for the next strip are merged and extended once (see
+_product_terms). Each strip visits only its addable rows and bounds
+every row's count from below by what the rows under it can still take.
 
 The memo of _product_terms lives as long as the process and holds most
 of the memory of the closed formulas, so each entry is compact: a tuple
@@ -131,88 +134,112 @@ def _product_terms(
     about 155 B of memo per term, the shared copy about 47 B (every
     product needed by the factor products with a + b <= 10).
 
-    Enumerates chains a = k0 <= k1 <= ... where step i adds a
-    horizontal strip of b_i cells, subject to the row-prefix lattice
-    condition: through any row r, strip i may not contain more cells in
-    rows 1..r than strip i-1 holds in rows 1..r-1.
+    Counts chains a = k0 <= k1 <= ... where step i adds a horizontal
+    strip of b_i cells, subject to the row-prefix lattice condition:
+    through any row r, strip i may not contain more cells in rows 1..r
+    than strip i-1 holds in rows 1..r-1. The coefficient of lam is the
+    number of chains that end in lam.
+
+    The chains are merged level by level rather than walked one by
+    one. The lattice condition links strip i+1 to strip i and to no
+    earlier strip, so what can follow strip i depends on two things
+    only: the shape k_i, and the bound strip i puts on each addable row
+    of k_i (its cells strictly above that row, capped at b_{i+1}). One
+    dict per level maps each such state to the number of chains that
+    reach it, and each state is extended once, however many chains
+    share it. The key holds the bounds as the top b_{i+1} cells of
+    strip i, as (row, cells) pairs. Given the shape that is the same
+    information: a row just under a row the strip touched is always
+    addable, so every step of the bounds shows on an addable row.
 
     Each strip visits only the rows that can take a cell: the first
     row, every row below a strictly longer row, and the new row below
     the shape. A row's count runs down from its capacity (the gap to
     the row above, within the lattice bound) to the part of the strip
-    that the addable rows below cannot absorb, read off a suffix sum of
-    their capacities, so no branch dies at the bottom of the shape; a
-    strip that is complete leaves the rows below alone. Skipping the
-    other rows keeps the lattice check exact because the prefix of the
-    previous strip never decreases. The work grows with the number of
-    strips, which is why schur_multiply passes the factor with fewer
-    rows as b.
+    that the addable rows below cannot absorb, read off a prefix sum of
+    their capacities, so no branch dies at the bottom of the shape.
+    Rows whose lattice bound is used up are passed over without a
+    call, and a strip that is complete leaves the rows below alone.
+    Skipping the other rows keeps the lattice check exact because the
+    prefix of the previous strip never decreases. The work grows with
+    the number of strips, which is why schur_multiply passes the
+    factor with fewer rows as b.
     """
     if not b:
         return (_shape(a),), (1,)
-    counts: dict[Partition, int] = {}
-    last = len(b) - 1
+    # chains[(shape, seen)]: how many chains of the strips so far end
+    # in shape with seen as the last strip's top cells
+    chains: dict[tuple[Partition, tuple[tuple[int, int], ...]], int] = {(a, ()): 1}
+    counts: dict[Partition, int] = {}  # the chains of all the strips
+    for entry, need in enumerate(b):
+        # the next strip can use at most its own size of this strip's
+        # lattice bound, so only that many top cells enter the key
+        keep = b[entry + 1] if entry < len(b) - 1 else 0
+        merged: dict[tuple[Partition, tuple[tuple[int, int], ...]], int] = {}
+        for (shape, prev), count in chains.items():
+            # One pass over the addable rows: the first row, every row
+            # below a strictly longer one, and the new row under the
+            # shape. caps[i] is what rows[i] can take and upto[i] what
+            # rows[1..i] can take together. lattice[i] is the most cells
+            # this strip may hold through row rows[i]: the cells of prev
+            # above that row. prev holds at most need cells, so
+            # lattice[i] - placed never exceeds the cells left to place.
+            # The first strip has no lattice bound.
+            rows = [0]
+            caps = [need]
+            upto = [0]
+            lattice = [0 if entry else need]
+            total = above = j = 0
+            for r, (x, y) in enumerate(zip(shape, shape[1:] + (0,)), 1):
+                if x > y:
+                    rows.append(r)
+                    caps.append(x - y)
+                    total += x - y
+                    upto.append(total)
+                    while j < len(prev) and prev[j][0] < r:
+                        above += prev[j][1]
+                        j += 1
+                    lattice.append(above if entry else need)
+            new = list(shape)
+            new.append(0)
+            seen: list[tuple[int, int]] = []
 
-    def place(entry: int, shape: Partition, prev: tuple[tuple[int, int], ...]) -> None:
-        # prev holds the (row, cells) pairs of the previous strip.
-        need = b[entry]
-        nrows = len(shape)
-        rows = [0]
-        caps = [need]
-        for r in range(1, nrows + 1):
-            gap = shape[r - 1] - (shape[r] if r < nrows else 0)
-            if gap:
-                rows.append(r)
-                caps.append(gap)
-        # room[i]: cells the addable rows from i on can take together
-        room = [0] * (len(rows) + 1)
-        for i in range(len(rows) - 1, 0, -1):
-            room[i] = room[i + 1] + caps[i]
-        # lattice[i]: most cells this strip may hold through row rows[i],
-        # i.e. the previous strip's cells above that row, capped at this
-        # strip's size so that lattice[i] - placed <= remaining. The
-        # first strip has no lattice bound.
-        if entry:
-            lattice = []
-            above = j = 0
-            for r in rows:
-                while j < len(prev) and prev[j][0] < r:
-                    above += prev[j][1]
-                    j += 1
-                lattice.append(above if above < need else need)
-        else:
-            lattice = [need] * len(rows)
-        new = list(shape)
-        new.append(0)
-        strip: list[tuple[int, int]] = []
-        final = entry == last
-
-        def fill(i: int, remaining: int, placed: int) -> None:
-            if not remaining:
-                shape2 = tuple(new) if new[-1] else tuple(new[:-1])
-                if final:
-                    counts[shape2] = counts.get(shape2, 0) + 1
-                else:
-                    place(entry + 1, shape2, tuple(strip))
-                return
-            cap = lattice[i] - placed
-            if caps[i] < cap:
-                cap = caps[i]
-            low = remaining - room[i + 1]
-            r = rows[i]
-            for s in range(cap, (low if low > 0 else 0) - 1, -1):
-                if s:
+            def fill(i: int, remaining: int, placed: int) -> None:
+                # rows the lattice bound already closes take no cell
+                cap = lattice[i] - placed
+                while cap <= 0:
+                    if remaining + upto[i] > total:
+                        return
+                    i += 1
+                    cap = lattice[i] - placed
+                if caps[i] < cap:
+                    cap = caps[i]
+                # what the rows below rows[i] cannot absorb: they take
+                # total - upto[i] cells at most
+                low = remaining + upto[i] - total
+                r = rows[i]
+                visible = keep - placed
+                for s in range(cap, low - 1 if low > 0 else 0, -1):
                     new[r] += s
-                    strip.append((r, s))
-                    fill(i + 1, remaining - s, placed + s)
+                    if visible > 0:
+                        seen.append((r, s if s < visible else visible))
+                    if s == remaining:  # the strip is complete
+                        lam = tuple(new) if new[-1] else tuple(new[:-1])
+                        if keep:
+                            key = (lam, tuple(seen))
+                            merged[key] = merged.get(key, 0) + count
+                        else:  # the last strip: the chain ends in lam
+                            counts[lam] = counts.get(lam, 0) + count
+                    else:
+                        fill(i + 1, remaining - s, placed + s)
+                    if visible > 0:
+                        seen.pop()
                     new[r] -= s
-                    strip.pop()
-                else:
+                if low <= 0:
                     fill(i + 1, remaining, placed)
 
-        fill(0, need, 0)
-
-    place(0, a, ())
+            fill(0, need, 0)
+        chains = merged
     order = sorted(counts, reverse=True)
     return tuple(map(_shape, order)), tuple(counts[lam] for lam in order)
 

@@ -9,6 +9,7 @@ results are memoized and must not be mutated by callers.
 from __future__ import annotations
 
 import math
+import operator
 from collections import Counter
 from functools import cache
 from typing import Iterable
@@ -22,9 +23,15 @@ def as_partition(parts: Iterable[int]) -> Partition:
     """Validate *parts* and return it as a canonical partition tuple.
 
     Raises ValueError unless the parts are positive integers in weakly
-    decreasing order.
+    decreasing order. A part must be an integer type (anything
+    operator.index accepts): floats and strings are rejected, not
+    truncated or parsed.
     """
-    lam = tuple(int(p) for p in parts)
+    items = iter(parts)  # a non-iterable is still a TypeError
+    try:
+        lam = tuple(map(operator.index, items))
+    except TypeError as exc:
+        raise ValueError(f"partition parts must be integers: {exc}") from None
     for i, p in enumerate(lam):
         if p < 1:
             raise ValueError(f"partition parts must be positive, got {p}")

@@ -91,6 +91,11 @@ class TestSchurExpansion:
         with pytest.raises(TypeError):
             SchurExpansion({(2,): 1.5})
 
+    def test_rejects_non_integer_parts(self):
+        # (2.5,) was once truncated to the key (2,)
+        with pytest.raises(ValueError):
+            SchurExpansion({(2.5,): 1})
+
     def test_items_canonical_order(self):
         f = SchurExpansion({(2, 2): 1, (4,): 2, (3, 1): 1})
         assert list(f.items()) == [((4,), 2), ((3, 1), 1), ((2, 2), 1)]
@@ -350,6 +355,11 @@ class TestMnCharacter:
     def test_s4_table(self, lam, row):
         cols = list(generate_partitions(4))
         assert [mn_character(lam, mu) for mu in cols] == row
+
+    def test_rejects_non_integer_parts(self):
+        # once truncated to mn_character((1, 1), (2,)) == -1
+        with pytest.raises(ValueError):
+            mn_character((1.5, 1.2), (2,))
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_trivial_and_sign_rows(self, n):

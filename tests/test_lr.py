@@ -64,6 +64,72 @@ def brute_lr(lam, mu, nu):
     return count
 
 
+def chain_product_terms(a, b):
+    """s_a * s_b by walking every chain of strips depth-first, one chain
+    at a time, with no merging: the reference for the merged levels of
+    _product_terms, in its (shapes, coefficients) format."""
+    if not b:
+        return (a,), (1,)
+    counts = {}
+    last = len(b) - 1
+
+    def place(entry, shape, prev):
+        # prev holds the (row, cells) pairs of the previous strip.
+        need = b[entry]
+        nrows = len(shape)
+        rows = [0]
+        caps = [need]
+        for r in range(1, nrows + 1):
+            gap = shape[r - 1] - (shape[r] if r < nrows else 0)
+            if gap:
+                rows.append(r)
+                caps.append(gap)
+        # room[i]: cells the addable rows from i on can take together
+        room = [0] * (len(rows) + 1)
+        for i in range(len(rows) - 1, 0, -1):
+            room[i] = room[i + 1] + caps[i]
+        # lattice[i]: most cells this strip may hold through row rows[i]
+        if entry:
+            lattice = []
+            above = j = 0
+            for r in rows:
+                while j < len(prev) and prev[j][0] < r:
+                    above += prev[j][1]
+                    j += 1
+                lattice.append(min(above, need))
+        else:
+            lattice = [need] * len(rows)
+        new = list(shape) + [0]
+        strip = []
+
+        def fill(i, remaining, placed):
+            if not remaining:
+                shape2 = tuple(new) if new[-1] else tuple(new[:-1])
+                if entry == last:
+                    counts[shape2] = counts.get(shape2, 0) + 1
+                else:
+                    place(entry + 1, shape2, tuple(strip))
+                return
+            cap = min(lattice[i] - placed, caps[i])
+            low = max(remaining - room[i + 1], 0)
+            r = rows[i]
+            for s in range(cap, low - 1, -1):
+                if s:
+                    new[r] += s
+                    strip.append((r, s))
+                    fill(i + 1, remaining - s, placed + s)
+                    new[r] -= s
+                    strip.pop()
+                else:
+                    fill(i + 1, remaining, placed)
+
+        fill(0, need, 0)
+
+    place(0, a, ())
+    order = sorted(counts, reverse=True)
+    return tuple(order), tuple(counts[lam] for lam in order)
+
+
 class TestAgainstBruteForce:
     def test_frozen_values(self):
         assert brute_lr((3, 2, 1), (2, 1), (2, 1)) == 2
@@ -85,7 +151,7 @@ class TestAgainstBruteForce:
 
 
 class TestEnginesAgree:
-    @pytest.mark.parametrize("total", range(0, 9))
+    @pytest.mark.parametrize("total", range(0, 12))
     def test_product_terms_match_coefficient_engine(self, total):
         for a in range(0, total + 1):
             for mu in generate_partitions(a):
@@ -97,6 +163,25 @@ class TestEnginesAgree:
                             mu,
                             nu,
                         )
+
+
+class TestMergedChains:
+    """_product_terms merges the chains that reach the same state; the
+    depth-first walk that counts every chain on its own must agree."""
+
+    def test_matches_chain_walk_on_factor_product_pairs(self):
+        base = {"h": phi_one_row, "e": phi_one_column}
+        pairs = {
+            (mu, nu)
+            for kind in ("hh", "ee", "he")
+            for a in range(11)
+            for b in range(11 - a)
+            for mu in base[kind[0]](a).support()
+            for nu in base[kind[1]](b).support()
+        }
+        for mu, nu in sorted(pairs):
+            for a, b in ((mu, nu), (nu, mu)):
+                assert _product_terms(a, b) == chain_product_terms(a, b), (a, b)
 
 
 class TestCompactMemo:

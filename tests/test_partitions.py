@@ -310,3 +310,14 @@ class TestValidation:
             as_partition((1, 2))
         with pytest.raises(ValueError):
             as_partition((2, 0))
+
+    @pytest.mark.parametrize("parts", [(2.5, 1.9), (2.0,), "321", ("3", "1")])
+    def test_as_partition_rejects_non_integer_parts(self, parts):
+        # parts were once truncated or parsed by int(): (2.5, 1.9) gave
+        # (2, 1) and "321" gave (3, 2, 1)
+        with pytest.raises(ValueError):
+            as_partition(parts)
+
+    def test_as_partition_accepts_integer_types(self):
+        assert as_partition([3, True]) == (3, 1)
+        assert as_partition(range(3, 0, -1)) == (3, 2, 1)
