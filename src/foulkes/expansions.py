@@ -13,7 +13,10 @@ expansion of p_mu, is p_mu[0] times the column of mu[1:], each shape in
 it growing by every mu[0]-cell border strip. Columns are memoized on
 the cycle type mu alone, the strips added on the (shape, strip size)
 pair; the memos are process-global and a concurrent duplicate
-computation is harmless.
+computation is harmless. powersum_to_schur uses the same step once per
+largest part instead of once per term: it sums the columns of the
+rests of every mu with that largest part and adds the strips to that
+sum, so it never builds a column of the full degree.
 """
 
 from __future__ import annotations
@@ -190,23 +193,31 @@ def _position(n: int) -> dict[Partition, int]:
 def _add_strips(rho: Partition, k: int) -> tuple[tuple[int, int], ...]:
     """(position, sign) of every shape rho plus a k-cell border strip.
 
-    On beta numbers a strip added is a bead moved up by k onto a free
-    place, with sign (-1)^(beads jumped). Positions index
-    generate_partitions(|rho| + k).
+    On beta numbers (here rho[j] - j, strictly decreasing, over rho
+    padded with k zeros) a strip added is a bead moved up by k onto a
+    free place. The bead of row idx lands at row t, the number of beads
+    above its new place: rows t..idx-1 each gain a cell, row t holds the
+    moved bead, and the sign is (-1)^(idx - t), the beads jumped.
+    Positions index generate_partitions(|rho| + k).
     """
-    ell = len(rho) + k
-    betas = [part + ell - 1 - i for i, part in enumerate(rho + (0,) * k)]
-    bset = set(betas)
+    padded = rho + (0,) * k
+    beads = [part - j for j, part in enumerate(padded)]
     position = _position(sum(rho) + k)
     out = []
-    for b in betas:
-        top = b + k
-        if top in bset:
+    for idx, bead in enumerate(beads):
+        top = bead + k
+        t = idx
+        while t and beads[t - 1] < top:
+            t -= 1
+        if t and beads[t - 1] == top:
             continue
-        jumped = sum(1 for c in betas if b < c < top)
-        new = sorted((bset - {b}) | {top}, reverse=True)
-        lam = tuple(v - (ell - 1 - j) for j, v in enumerate(new) if v > ell - 1 - j)
-        out.append((position[lam], -1 if jumped % 2 else 1))
+        lam = (
+            rho[:t]
+            + (top + t,)
+            + tuple(part + 1 for part in padded[t:idx])
+            + rho[idx + 1 :]
+        )
+        out.append((position[lam], -1 if (idx - t) % 2 else 1))
     return tuple(out)
 
 
@@ -267,8 +278,11 @@ def powersum_to_schur(f: PowerSumExpansion) -> SchurExpansion:
 
     The coefficient of s_lam is the sum of f(mu) * chi^lam_mu. It is
     computed in integers: every f(mu) is scaled by the lcm D of their
-    denominators, the scaled character columns are added into one
-    integer total per s_lam, and one exact division by D ends each.
+    denominators and one exact division by D ends each integer total.
+    Since p_mu = p_mu[0] * p_mu[1:], the terms are grouped by their
+    largest part r: the scaled columns of their rests mu[1:] (degree
+    n - r) are summed first, and every non-zero entry of that sum then
+    gets its r-cell border strips once, so no degree-n column is built.
     Raises NonIntegerCoefficientError at the first s_lam in reverse-lex
     order whose division leaves a remainder, which means f was not an
     integral Schur combination to begin with.
@@ -278,10 +292,23 @@ def powersum_to_schur(f: PowerSumExpansion) -> SchurExpansion:
         return SchurExpansion()
     denom = lcm(*(c.denominator for c in f._terms.values()))
     totals = [0] * len(generate_partitions(n))
+    groups: dict[int, dict[Partition, int]] = {}
     for mu, c in f._terms.items():
         coeff = c.numerator * (denom // c.denominator)
-        for i, ch in zip(*_chi(mu)):
-            totals[i] += coeff * ch
+        if mu:
+            groups.setdefault(mu[0], {})[mu[1:]] = coeff
+        else:
+            totals[0] = coeff
+    for r, rests in groups.items():
+        shapes = generate_partitions(n - r)
+        inner = [0] * len(shapes)
+        for rest, coeff in rests.items():
+            for j, ch in zip(*_chi(rest)):
+                inner[j] += coeff * ch
+        for rho, value in zip(shapes, inner):
+            if value:
+                for i, sign in _add_strips(rho, r):
+                    totals[i] += sign * value
     out: dict[Partition, int] = {}
     for lam, total in zip(generate_partitions(n), totals):
         if total:

@@ -27,11 +27,14 @@ from .expansions import (
 from .partitions import Partition, as_partition
 
 # Cap on |nu| for oracle runs. The first call at a size n fills the
-# character columns of the cycle types of 2n that it needs, about 2x
-# the time per step (cold: 0.1 s at n = 9, 0.2 s at 10, 0.3-0.4 s at
-# 11 on a 2-core VM, Python 3.11.7); a later call of that size adds
-# one column per power-sum term (about 10 ms at n = 10). Callers can
-# raise it explicitly (the CLI reads FOULKES_MAX_N).
+# character columns it needs, those of the power-sum terms of 2n with
+# the largest part taken out, about 2x the time and 1.2-1.6x the memory
+# per step (cold s_(n)[s_2]: 20 ms at n = 9, 40 ms at 10, 70 ms at 11,
+# 0.14 s and 30 MB max RSS at 12 on a 2-core VM, Python 3.11.7); a
+# later call of that size adds the columns it still lacks (2-3 ms at
+# n = 10). The bench golden table pins exit 3 for the oracle queries at
+# |nu| = 10, so the cap stays at 9. Callers can raise it explicitly (the
+# CLI reads FOULKES_MAX_N).
 DEFAULT_MAX_WEIGHT = 9
 
 

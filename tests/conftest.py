@@ -9,13 +9,13 @@ import re
 _CRITERION = re.compile(r"test_acceptance\.py::test_criterion_(\d+)")
 
 _LABELS = {
-    1: "base cases: one-row and one-column formulas vs oracle, n <= 11",
-    2: "two-row formula vs oracle, n <= 11",
-    3: "two-column formula vs oracle, n <= 11",
-    4: "hook formulas (both variants) vs oracle, n <= 11",
+    1: "base cases: one-row and one-column formulas vs oracle, n <= 12",
+    2: "two-row formula vs oracle, n <= 12",
+    3: "two-column formula vs oracle, n <= 12",
+    4: "hook formulas (both variants) vs oracle, n <= 12",
     5: "closed depth-one corollaries vs parent formulas, n <= 10",
     6: "classification table vs parent closed formulas over all labels, n <= 8",
-    7: "omega duality between the two inner shapes, |nu| <= 10",
+    7: "omega duality between the two inner shapes, |nu| <= 11",
     8: "dimension identity and spot totals",
     9: "nonnegativity of every emitted multiplicity",
     10: "induced products match Littlewood-Richardson recombination",

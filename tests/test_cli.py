@@ -143,6 +143,23 @@ class TestExhaustedResources:
         assert "Traceback" not in err
 
 
+class TestOversizedPartition:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("oracle", "2^999999999"),
+            ("decompose", "2^999999999"),
+            ("compare", "2^999999999"),
+            ("lr", "4,2", "2^999999999", "2,2"),
+        ],
+    )
+    def test_exponent_token_exits_3_in_one_line(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert err == "error: partition size 1999999998 exceeds the parse limit 1000000\n"
+
+
 class TestOracle:
     def test_matches_formula_terms(self, capsys):
         _, formula_out, _ = run(capsys, "decompose", "2,1", "--format", "json")

@@ -12,6 +12,8 @@ from foulkes.errors import DegreeMismatchError, NonIntegerCoefficientError
 from foulkes.expansions import (
     PowerSumExpansion,
     SchurExpansion,
+    _add_strips,
+    _position,
     mn_character,
     omega_schur,
     powersum_to_schur,
@@ -68,6 +70,25 @@ def removal_character(lam, mu):
         term = removal_character(new_lam, mu[1:])
         total += -term if height % 2 else term
     return total
+
+
+def _sorted_bead_strips(rho, k):
+    """Reference for _add_strips: move each bead up by k, re-sort the
+    whole bead set, and count the beads jumped one by one."""
+    ell = len(rho) + k
+    betas = [part + ell - 1 - i for i, part in enumerate(rho + (0,) * k)]
+    bset = set(betas)
+    position = _position(sum(rho) + k)
+    out = []
+    for b in betas:
+        top = b + k
+        if top in bset:
+            continue
+        jumped = sum(1 for c in betas if b < c < top)
+        new = sorted((bset - {b}) | {top}, reverse=True)
+        lam = tuple(v - (ell - 1 - j) for j, v in enumerate(new) if v > ell - 1 - j)
+        out.append((position[lam], -1 if jumped % 2 else 1))
+    return tuple(out)
 
 
 def partitions_of(max_n):
@@ -406,6 +427,24 @@ class TestMnCharacter:
             mn_character((2, 1), (2, 2))
 
 
+class TestAddStrips:
+    @pytest.mark.parametrize("total", range(1, 15))
+    def test_matches_sorted_beads(self, total):
+        for k in range(1, total + 1):
+            for rho in generate_partitions(total - k):
+                assert _add_strips(rho, k) == _sorted_bead_strips(rho, k), (rho, k)
+
+    def test_examples(self):
+        # (2, 1) plus a 3-cell strip; (2, 2, 2) moves the bead of the
+        # first empty row above the bead of row 1, which grows by a cell.
+        shapes = generate_partitions(6)
+        got = {shapes[i]: sign for i, sign in _add_strips((2, 1), 3)}
+        assert got == {(5, 1): 1, (3, 3): -1, (2, 2, 2): -1, (2, 1, 1, 1, 1): 1}
+        shapes = generate_partitions(3)
+        got = {shapes[i]: sign for i, sign in _add_strips((), 3)}
+        assert got == {(3,): 1, (2, 1): -1, (1, 1, 1): 1}
+
+
 class TestBasisChange:
     def test_schur_21_in_powersums(self):
         f = schur_to_powersum((2, 1))
@@ -455,9 +494,31 @@ def fraction_dot_products(f):
     return out
 
 
+@st.composite
+def integer_powersum_combinations(draw):
+    """An integer combination of power sums of degree 0-12 that draws up
+    to three cycle types for every largest part."""
+    n = draw(st.integers(0, 12))
+    by_largest = {}
+    for mu in generate_partitions(n):
+        by_largest.setdefault(mu[:1], []).append(mu)
+    combo = {}
+    for group in by_largest.values():
+        for mu in draw(st.lists(st.sampled_from(group), max_size=3)):
+            combo[mu] = draw(st.integers(-4, 4))
+    return combo
+
+
 class TestIntegerBasisChange:
     """powersum_to_schur scales by one common denominator and divides
     once; it must agree with Fraction dot products exactly."""
+
+    @given(integer_powersum_combinations())
+    def test_grouped_by_largest_part(self, combo):
+        f = PowerSumExpansion(combo)
+        got = powersum_to_schur(f)
+        assert dict(got.items()) == fraction_dot_products(f)
+        assert all(type(c) is int for _, c in got.items())
 
     @given(st.integers(0, 8).flatmap(schur_dicts))
     def test_recovers_integer_combination(self, combo):

@@ -8,6 +8,9 @@ outputs and internal algebra.
 
 import ast
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -152,6 +155,34 @@ class TestResourceCap:
     def test_tight_cap_rejects(self):
         with pytest.raises(ResourceBoundError):
             oracle_plethysm_s2((3, 1), max_weight=3)
+
+
+def test_cold_oracle_12_memory():
+    # A cold oracle (12), s2 then e2, in one fresh interpreter stays
+    # under 40 MB max RSS (59 MB when every degree-24 column was built).
+    script = (
+        "import resource\n"
+        "from foulkes.oracle import oracle_plethysm_e2, oracle_plethysm_s2\n"
+        "oracle_plethysm_s2((12,), max_weight=12)\n"
+        "oracle_plethysm_e2((12,), max_weight=12)\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+    )
+    src = str(Path(foulkes.__file__).resolve().parents[1])
+    # Linux carries a parent's peak RSS into the ru_maxrss of a child it
+    # starts by fork or vfork and exec, so under pytest the interpreter
+    # would read this process' peak. A shell forks it instead (the exit
+    # after it keeps the shell from exec'ing it in place).
+    proc = subprocess.run(
+        ["sh", "-c", '"$0" -c "$1"; exit $?', sys.executable, script],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    # ru_maxrss is in bytes on macOS, in kilobytes elsewhere
+    unit = 1 if sys.platform == "darwin" else 1024
+    max_rss_mb = int(proc.stdout) * unit / 2**20
+    assert max_rss_mb < 40, f"{max_rss_mb:.1f} MB"
 
 
 def imported_modules(path: Path) -> set[str]:

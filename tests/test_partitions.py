@@ -7,6 +7,7 @@ enumeration for dimensions).
 """
 
 import math
+import tracemalloc
 from functools import cache
 
 import pytest
@@ -16,8 +17,10 @@ from foulkes.errors import (
     EmptyIncludeSetError,
     PartitionParseError,
     RepeatedPartsError,
+    ResourceBoundError,
 )
 from foulkes.partitions import (
+    _MAX_PARSED_SIZE,
     as_partition,
     centralizer_order,
     conjugate,
@@ -294,6 +297,24 @@ class TestParsing:
     def test_parse_rejects(self, bad):
         with pytest.raises(PartitionParseError):
             parse_partition(bad)
+
+    @pytest.mark.parametrize(
+        "text", ["2^999999999", "1,1^999999999", str(_MAX_PARSED_SIZE + 1)]
+    )
+    def test_size_checked_before_expansion(self, text):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceBoundError, match="exceeds the parse limit"):
+                parse_partition(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_size_limit_is_inclusive(self):
+        half = _MAX_PARSED_SIZE // 2
+        assert parse_partition(str(_MAX_PARSED_SIZE)) == (_MAX_PARSED_SIZE,)
+        assert parse_partition(f"{half}^2") == (half, half)
 
     def test_format(self):
         assert format_partition(()) == "-"
