@@ -11,7 +11,6 @@ identical bytes. Timings, when requested, go to stderr.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
@@ -48,6 +47,10 @@ def _oracle(nu: Partition, inner: str) -> SchurExpansion:
         raise PartitionParseError(
             f"FOULKES_MAX_N must be an integer, got {raw!r}"
         ) from None
+    if cap is not None and cap < 0:
+        raise PartitionParseError(
+            f"FOULKES_MAX_N must not be negative, got {raw!r}"
+        )
     fn = oracle_plethysm_s2 if inner == "s2" else oracle_plethysm_e2
     return fn(nu, max_weight=cap)
 
@@ -257,7 +260,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         # message is fixed so that it stays one line.
         print(f"error: out of resources ({type(exc).__name__})", file=sys.stderr)
         return 3
-    text = json.dumps(output) if isinstance(output, dict) else "\n".join(output)
+    if isinstance(output, dict):
+        import json  # only JSON output needs it; keeps start-up short
+
+        text = json.dumps(output)
+    else:
+        text = "\n".join(output)
     try:
         sys.stdout.write(text + "\n")
         sys.stdout.flush()

@@ -22,10 +22,9 @@ sum, so it never builds a column of the full degree.
 from __future__ import annotations
 
 import operator
-from fractions import Fraction
 from functools import cache
 from math import lcm
-from typing import Iterable, Iterator, Mapping
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
 from .errors import DegreeMismatchError, NonIntegerCoefficientError
 from .partitions import (
@@ -37,8 +36,16 @@ from .partitions import (
     irreducible_dimension,
 )
 
+if TYPE_CHECKING:
+    from fractions import Fraction
 
+
+# fractions (and the decimal and numbers modules it loads) is imported
+# where a power-sum coefficient is made, so the Schur-only routes and
+# the command line start without it.
 def _as_fraction(value) -> Fraction:
+    from fractions import Fraction
+
     if isinstance(value, float):
         raise TypeError("power-sum coefficients must be exact (int or Fraction)")
     return Fraction(value)
@@ -262,6 +269,8 @@ def schur_to_powersum(nu: Iterable[int]) -> PowerSumExpansion:
     column of every cycle type of n, which enumerates the partitions
     of n.
     """
+    from fractions import Fraction
+
     nu = as_partition(nu)
     n = sum(nu)
     i = _position(n)[nu]
@@ -314,6 +323,8 @@ def powersum_to_schur(f: PowerSumExpansion) -> SchurExpansion:
         if total:
             quotient, remainder = divmod(total, denom)
             if remainder:
+                from fractions import Fraction
+
                 raise NonIntegerCoefficientError(
                     f"coefficient of s_{lam} is {Fraction(total, denom)}"
                 )

@@ -10,23 +10,26 @@ chains of horizontal strips (_product_terms), which only ever visits
 result partitions with a nonzero coefficient; the test suite
 cross-checks the two engines against each other.
 
-The strip enumeration costs more with every strip, so schur_multiply
-hands _product_terms the factor with fewer rows as the one whose rows
-become strips, and the memo holds each unordered pair once. The strips
-are added level by level: because the lattice condition links each
-strip only to the one before it, chains that reach the same shape with
-the same bounds for the next strip are merged and extended once (see
-_product_terms). Each strip visits only its addable rows and bounds
-every row's count from below by what the rows under it can still take.
+The strip enumeration costs more with every strip, so for each pair
+of terms schur_multiply makes the factor with fewer rows the one whose
+rows become strips. It then groups the pairs by that strip shape and
+hands _product_terms each group whole: the other factors of the group
+with their summed weights, so symmetric pairs merge. The strips are
+added level by level: because the lattice condition links each strip
+only to the one before it, chains that reach the same shape with the
+same bounds for the next strip are merged and extended once, from
+whichever source of the group they start (see _product_terms). Each
+strip visits only its addable rows and bounds every row's count from
+below by what the rows under it can still take.
 
-The memo of _product_terms lives as long as the process and holds most
-of the memory of the closed formulas, so each entry is compact: a tuple
-of shapes and a parallel tuple of int coefficients, where every shape
-is the one copy kept by _shape. schur_multiply adds these shapes as
-they are, so its results share them too. An in-process sweep of the
-formulas to |nu| = 12 stores about 110k terms in 2591 products and
-peaks at 21 MB RSS; with a tuple per term it would need 35 MB
-(Python 3.11).
+The memo of _product_terms, keyed on the group, lives as long as the
+process and holds most of the memory of the closed formulas, so each
+entry is compact: a tuple of shapes and a parallel tuple of int
+coefficients, where every shape is the one copy kept by _shape.
+schur_multiply adds these shapes as they are, so its results share
+them too. An in-process sweep of the formulas to |nu| = 12 stores
+about 63k terms in 472 groups (110k terms in 2591 entries with one
+entry per pair) and peaks at 18.6 MB RSS (Python 3.11).
 """
 
 from __future__ import annotations
@@ -125,32 +128,42 @@ def _shape(lam: Partition) -> Partition:
 
 @cache
 def _product_terms(
-    a: Partition, b: Partition
+    sources: tuple[tuple[Partition, int], ...], b: Partition
 ) -> tuple[tuple[Partition, ...], tuple[int, ...]]:
-    """Expansion of s_a * s_b as parallel tuples (shapes, coefficients).
+    """Expansion of the sum of w * s_a * s_b over the (a, w) in sources,
+    as parallel tuples (shapes, coefficients).
 
-    The shapes are in canonical (reverse-lex) order and each is the
-    shared copy held by _shape: a fresh tuple per term would cost
-    about 155 B of memo per term, the shared copy about 47 B (every
-    product needed by the factor products with a + b <= 10).
+    sources is the group key: distinct shapes a with non-zero int
+    weights w, sorted in reverse order. schur_multiply makes one group
+    of every pair of its factors that share the strip shape b, so
+    symmetric pairs and repeated sources cost one entry.
+
+    The shapes are in canonical (reverse-lex) order, each with a
+    non-zero coefficient, and each is the shared copy held by _shape:
+    a fresh tuple per term would cost about 155 B of memo per term,
+    the shared copy about 48 B (every group needed by the factor
+    products with a + b <= 10).
 
     Counts chains a = k0 <= k1 <= ... where step i adds a horizontal
     strip of b_i cells, subject to the row-prefix lattice condition:
     through any row r, strip i may not contain more cells in rows 1..r
     than strip i-1 holds in rows 1..r-1. The coefficient of lam is the
-    number of chains that end in lam.
+    number of chains that end in lam, each chain counted with the
+    weight of its source.
 
     The chains are merged level by level rather than walked one by
     one. The lattice condition links strip i+1 to strip i and to no
     earlier strip, so what can follow strip i depends on two things
     only: the shape k_i, and the bound strip i puts on each addable row
     of k_i (its cells strictly above that row, capped at b_{i+1}). One
-    dict per level maps each such state to the number of chains that
-    reach it, and each state is extended once, however many chains
-    share it. The key holds the bounds as the top b_{i+1} cells of
-    strip i, as (row, cells) pairs. Given the shape that is the same
-    information: a row just under a row the strip touched is always
-    addable, so every step of the bounds shows on an addable row.
+    dict per level maps each such state to the weighted number of
+    chains that reach it, and each state is extended once, however many
+    chains share it and from whichever sources they start: the first
+    level holds every source with its weight. The key holds the bounds
+    as the top b_{i+1} cells of strip i, as (row, cells) pairs. Given
+    the shape that is the same information: a row just under a row the
+    strip touched is always addable, so every step of the bounds shows
+    on an addable row.
 
     Each strip visits only the rows that can take a cell: the first
     row, every row below a strictly longer row, and the new row below
@@ -166,10 +179,12 @@ def _product_terms(
     factor with fewer rows as b.
     """
     if not b:
-        return (_shape(a),), (1,)
-    # chains[(shape, seen)]: how many chains of the strips so far end
-    # in shape with seen as the last strip's top cells
-    chains: dict[tuple[Partition, tuple[tuple[int, int], ...]], int] = {(a, ()): 1}
+        return tuple(_shape(a) for a, _ in sources), tuple(w for _, w in sources)
+    # chains[(shape, seen)]: the weighted number of chains of the strips
+    # so far that end in shape with seen as the last strip's top cells
+    chains: dict[tuple[Partition, tuple[tuple[int, int], ...]], int] = {
+        (a, ()): w for a, w in sources
+    }
     counts: dict[Partition, int] = {}  # the chains of all the strips
     for entry, need in enumerate(b):
         # the next strip can use at most its own size of this strip's
@@ -240,7 +255,7 @@ def _product_terms(
 
             fill(0, need, 0)
         chains = merged
-    order = sorted(counts, reverse=True)
+    order = sorted((lam for lam, c in counts.items() if c), reverse=True)
     return tuple(map(_shape, order)), tuple(counts[lam] for lam in order)
 
 
@@ -252,16 +267,21 @@ def schur_multiply(f: SchurExpansion, g: SchurExpansion) -> SchurExpansion:
     """
     if not isinstance(f, SchurExpansion) or not isinstance(g, SchurExpansion):
         raise TypeError("schur_multiply expects two SchurExpansion values")
-    acc: dict[Partition, int] = {}
+    # the factor with fewer rows makes the strips, ties go one fixed
+    # way; the pairs with one strip shape form one weighted group
+    groups: dict[Partition, dict[Partition, int]] = {}
     for mu, cf in f._terms.items():
         for nu, cg in g._terms.items():
-            w = cf * cg
-            # the factor with fewer rows makes the strips; ties go one
-            # fixed way so each pair has one cache entry
             if (len(nu), nu) <= (len(mu), mu):
-                terms = _product_terms(mu, nu)
+                source, strips = mu, nu
             else:
-                terms = _product_terms(nu, mu)
-            for lam, c in zip(*terms):
-                acc[lam] = acc.get(lam, 0) + w * c
+                source, strips = nu, mu
+            group = groups.setdefault(strips, {})
+            group[source] = group.get(source, 0) + cf * cg
+    acc: dict[Partition, int] = {}
+    for strips, group in groups.items():
+        sources = tuple(sorted(((a, w) for a, w in group.items() if w), reverse=True))
+        if sources:
+            for lam, c in zip(*_product_terms(sources, strips)):
+                acc[lam] = acc.get(lam, 0) + c
     return SchurExpansion._trusted(acc)

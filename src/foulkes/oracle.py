@@ -12,7 +12,6 @@ relation stays testable.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cache
 from math import lcm
 from typing import Iterable
@@ -39,6 +38,8 @@ DEFAULT_MAX_WEIGHT = 9
 
 
 def _check_cap(nu: Partition, max_weight: int | None) -> None:
+    if max_weight is not None and max_weight < 0:
+        raise ValueError(f"max_weight must not be negative, got {max_weight}")
     cap = DEFAULT_MAX_WEIGHT if max_weight is None else max_weight
     if sum(nu) > cap:
         raise ResourceBoundError(
@@ -68,6 +69,8 @@ def _oracle(nu: Partition, inner: str) -> SchurExpansion:
     # Each p_r becomes (p_r p_r +- p_2r) / 2: multiply out the integer
     # brackets and sum the terms as integers over the common
     # denominator of every coeff / 2^len(mu).
+    from fractions import Fraction
+
     sign = 1 if inner == "s2" else -1
     terms = schur_to_powersum(nu).items()
     denom = lcm(*(c.denominator << len(mu) for mu, c in terms))
@@ -87,7 +90,8 @@ def oracle_plethysm_s2(
 
     Results are cached per nu for the life of the process. Raises
     ResourceBoundError when |nu| exceeds the cap (DEFAULT_MAX_WEIGHT
-    unless max_weight says otherwise).
+    unless max_weight says otherwise), and ValueError when max_weight
+    is negative.
     """
     nu = as_partition(nu)
     _check_cap(nu, max_weight)

@@ -191,6 +191,14 @@ class TestOracle:
         assert code == 2
         assert "FOULKES_MAX_N" in err
 
+    @pytest.mark.parametrize("command", ["oracle", "compare"])
+    def test_env_cap_negative_exits_2(self, capsys, monkeypatch, command):
+        # a negative cap is a bad setting, not a size |nu| = 0 exceeds
+        monkeypatch.setenv("FOULKES_MAX_N", "-1")
+        code, out, err = run(capsys, command, "-")
+        assert code == 2 and out == ""
+        assert err == "error: FOULKES_MAX_N must not be negative, got '-1'\n"
+
 
 class TestCompare:
     @pytest.mark.parametrize(
@@ -321,6 +329,25 @@ class TestLr:
         assert code == 0
         assert out == "1\n"
         assert err == ""
+
+
+def test_import_loads_no_fraction_or_json_module():
+    # fractions (with decimal and numbers) and json load only on the
+    # paths that use them. -S keeps site hooks from importing any.
+    src = str(Path(foulkes.__file__).resolve().parents[1])
+    code = (
+        "import sys, foulkes.cli\n"
+        "print(*sorted({'fractions', 'decimal', 'numbers', 'json'}"
+        " & set(sys.modules)))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert proc.stdout == "\n"
 
 
 class TestClosedPipe:

@@ -13,6 +13,7 @@ import tracemalloc
 from collections import Counter
 
 import pytest
+from hypothesis import given, strategies as st
 
 from foulkes import clear_caches, formulas
 from foulkes.expansions import SchurExpansion, total_dimension
@@ -156,7 +157,7 @@ class TestEnginesAgree:
         for a in range(0, total + 1):
             for mu in generate_partitions(a):
                 for nu in generate_partitions(total - a):
-                    terms = dict(zip(*_product_terms(mu, nu)))
+                    terms = dict(zip(*_product_terms(((mu, 1),), nu)))
                     for lam in generate_partitions(total):
                         assert terms.get(lam, 0) == lr_coefficient(lam, mu, nu), (
                             lam,
@@ -181,7 +182,10 @@ class TestMergedChains:
         }
         for mu, nu in sorted(pairs):
             for a, b in ((mu, nu), (nu, mu)):
-                assert _product_terms(a, b) == chain_product_terms(a, b), (a, b)
+                assert _product_terms(((a, 1),), b) == chain_product_terms(a, b), (
+                    a,
+                    b,
+                )
 
 
 class TestCompactMemo:
@@ -194,7 +198,7 @@ class TestCompactMemo:
         for mu in f.support():
             for nu in g.support():
                 for a, b in ((mu, nu), (nu, mu)):
-                    shapes, coefficients = _product_terms(a, b)
+                    shapes, coefficients = _product_terms(((a, 1),), b)
                     assert len(shapes) == len(coefficients)
                     assert shapes == tuple(sorted(set(shapes), reverse=True))
                     assert all(type(c) is int for c in coefficients)
@@ -208,8 +212,8 @@ class TestCompactMemo:
         assert he and all(lam is _shape(lam) for lam in he._terms)
 
     def test_memo_bytes_per_term(self):
-        # Every LR pair that the factor products with a + b <= 10 need,
-        # in the order schur_multiply passes them.
+        # Every group that the factor products with a + b <= 10 need,
+        # keyed as schur_multiply passes them.
         clear_caches()
         base = {"h": phi_one_row, "e": phi_one_column}
         kinds = [
@@ -218,30 +222,124 @@ class TestCompactMemo:
             for a in range(11)
             for b in range(11 - a)
         ]
-        pairs = sorted(
+        keys = sorted(
             {
-                (mu, nu) if (len(nu), nu) <= (len(mu), mu) else (nu, mu)
+                key
                 for a, b, kind in kinds
-                for mu in base[kind[0]](a).support()
-                for nu in base[kind[1]](b).support()
+                for key in strip_groups(base[kind[0]](a), base[kind[1]](b))
             }
         )
         tracemalloc.start()
         try:
-            for pair in pairs:
-                _product_terms(*pair)
+            for key in keys:
+                _product_terms(*key)
             grown = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        terms = sum(len(_product_terms(*pair)[0]) for pair in pairs)
-        # about 47 B per term; a fresh tuple per term costs about 155 B
+        terms = sum(len(_product_terms(*key)[0]) for key in keys)
+        # about 48 B per term; a fresh tuple per term costs about 155 B
         assert grown / terms < 60, (grown, terms)
-        # the pairs are exactly what the factor products look up
+        # the groups are exactly what the factor products look up
         misses = _product_terms.cache_info().misses
         for a, b, kind in kinds:
             formulas._factor_product(a, b, kind)
         info = _product_terms.cache_info()
-        assert (info.misses, info.currsize) == (misses, len(pairs))
+        assert (info.misses, info.currsize) == (misses, len(keys))
+
+
+def strip_groups(f, g):
+    """The (sources, strips) keys of _product_terms that f * g needs:
+    per pair the factor with fewer rows makes the strips (ties to the
+    one that sorts lower), and the pairs with one strip shape sum their
+    weights per source, dropping the sources whose weights cancel."""
+    groups = {}
+    for mu, cf in f.items():
+        for nu, cg in g.items():
+            if (len(nu), nu) <= (len(mu), mu):
+                source, strips = mu, nu
+            else:
+                source, strips = nu, mu
+            group = groups.setdefault(strips, Counter())
+            group[source] += cf * cg
+    return [
+        (tuple(sorted(((a, w) for a, w in group.items() if w), reverse=True)), strips)
+        for strips, group in groups.items()
+        if any(group.values())
+    ]
+
+
+@st.composite
+def weighted_groups(draw):
+    """Up to six distinct sources of one size with int weights in
+    -3..3 (zero excluded), sorted as a group key, and a strip shape b,
+    with |source| + |b| <= 10."""
+    n = draw(st.integers(0, 10))
+    b = draw(st.sampled_from(list(generate_partitions(draw(st.integers(0, 10 - n))))))
+    group = draw(
+        st.dictionaries(
+            st.sampled_from(list(generate_partitions(n))),
+            st.integers(-3, 3).filter(bool),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    return tuple(sorted(group.items(), reverse=True)), b
+
+
+class TestWeightedGroups:
+    """One _product_terms call sums w * s_a * s_b over a whole group of
+    weighted sources a; it must equal the sum of the one-source chain
+    walks, and the coefficient engine, term by term."""
+
+    @given(weighted_groups())
+    def test_matches_weighted_sum_of_chain_walks(self, key):
+        sources, b = key
+        shapes, coefficients = _product_terms(sources, b)
+        assert shapes == tuple(sorted(set(shapes), reverse=True))
+        assert all(type(c) is int and c for c in coefficients)
+        assert all(lam is _shape(lam) for lam in shapes)
+        expected = Counter()
+        for a, w in sources:
+            for lam, c in zip(*chain_product_terms(a, b)):
+                expected[lam] += w * c
+        got = dict(zip(shapes, coefficients))
+        assert got == {lam: c for lam, c in expected.items() if c}
+        total = sum(sources[0][0]) + sum(b)
+        for lam in generate_partitions(total):
+            assert got.get(lam, 0) == sum(
+                w * lr_coefficient(lam, a, b) for a, w in sources
+            ), (lam, sources, b)
+
+    def test_cancelling_weights_leave_no_zero(self):
+        # s_2 s_1 - s_11 s_1 = (s_3 + s_21) - (s_21 + s_111)
+        assert _product_terms((((2,), 1), ((1, 1), -1)), (1,)) == (
+            ((3,), (1, 1, 1)),
+            (1, -1),
+        )
+        # with no strips the group is its own expansion
+        assert _product_terms((((2, 1), 2),), ()) == (((2, 1),), (2,))
+
+    def test_symmetric_pairs_merge_and_zero_sources_drop(self):
+        # (s_21 + s_3)(s_21 - s_3): the pairs (21, 3) and (3, 21) both
+        # make strips of (3) from (2, 1), with weights -1 and +1
+        f = SchurExpansion({(2, 1): 1, (3,): 1})
+        g = SchurExpansion({(2, 1): 1, (3,): -1})
+        clear_caches()
+        product = schur_multiply(f, g)
+        info = _product_terms.cache_info()
+        assert (info.misses, info.currsize) == (2, 2)
+        assert sorted(strip_groups(f, g)) == [
+            ((((2, 1), 1),), (2, 1)),
+            ((((3,), -1),), (3,)),
+        ]
+        for key in strip_groups(f, g):
+            _product_terms(*key)
+        assert _product_terms.cache_info().misses == 2
+        expected = {
+            lam: lr_coefficient(lam, (2, 1), (2, 1)) - lr_coefficient(lam, (3,), (3,))
+            for lam in generate_partitions(6)
+        }
+        assert dict(product.items()) == {lam: c for lam, c in expected.items() if c}
 
 
 class TestOperandOrder:
@@ -341,7 +439,9 @@ class TestSymmetries:
         for a in range(0, total + 1):
             for mu in generate_partitions(a):
                 for nu in generate_partitions(total - a):
-                    assert _product_terms(mu, nu) == _product_terms(nu, mu)
+                    assert _product_terms(((mu, 1),), nu) == _product_terms(
+                        ((nu, 1),), mu
+                    )
 
     @pytest.mark.parametrize("total", range(0, 8))
     def test_conjugation(self, total):

@@ -156,6 +156,13 @@ class TestResourceCap:
         with pytest.raises(ResourceBoundError):
             oracle_plethysm_s2((3, 1), max_weight=3)
 
+    @pytest.mark.parametrize("oracle", [oracle_plethysm_s2, oracle_plethysm_e2])
+    def test_negative_cap_is_a_value_error(self, oracle):
+        # not ResourceBoundError: no size exceeds a negative cap
+        with pytest.raises(ValueError, match="max_weight") as info:
+            oracle((), max_weight=-1)
+        assert not isinstance(info.value, ResourceBoundError)
+
 
 def test_cold_oracle_12_memory():
     # A cold oracle (12), s2 then e2, in one fresh interpreter stays
