@@ -119,11 +119,15 @@ def induce_product(f: SchurExpansion, g: SchurExpansion) -> SchurExpansion:
 
 def _signed_sum(terms: Iterable[tuple[int, SchurExpansion]]) -> SchurExpansion:
     """Sum of sign * f over the (sign, f) pairs of one degree,
-    accumulated in one dict."""
+    accumulated in one dict that starts as a copy of the first term
+    when its sign is +1, as it is in every sum here."""
     acc: dict[Partition, int] = {}
     for sign, f in terms:
-        for lam, c in f._terms.items():
-            acc[lam] = acc.get(lam, 0) + sign * c
+        if acc or sign != 1:
+            for lam, c in f._terms.items():
+                acc[lam] = acc.get(lam, 0) + sign * c
+        else:
+            acc = dict(f._terms)
     return SchurExpansion._trusted(acc)
 
 

@@ -126,10 +126,17 @@ def conjugate(lam: Iterable[int]) -> Partition:
 
 
 def _conjugate(lam: Partition) -> Partition:
-    """conjugate for a tuple already known to be a partition."""
+    """conjugate for a tuple already known to be a partition.
+
+    Walks the columns left to right once: the height h of column j is
+    the number of parts longer than j, and it only ever shrinks.
+    """
     conj: list[int] = []
-    for i in range(len(lam), 0, -1):
-        conj.extend([i] * (lam[i - 1] - (lam[i] if i < len(lam) else 0)))
+    h = len(lam)
+    for j in range(lam[0] if lam else 0):
+        while lam[h - 1] <= j:
+            h -= 1
+        conj.append(h)
     return tuple(conj)
 
 

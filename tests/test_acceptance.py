@@ -1,10 +1,10 @@
 """Acceptance suite.
 
-Eleven criteria, every comparison exact with tolerance zero.  Each
-test body is timed; the final criterion aggregates the recorded
-durations into the performance envelope, so it must run last (it is
-defined last and pytest preserves definition order).  conftest.py
-prints a per-criterion verdict line at the end of the run.
+Twelve criteria, every comparison exact with tolerance zero.  Each
+test body is timed; criterion 11 aggregates the recorded durations
+into the performance envelope, so it must run last (it is defined
+last, after criterion 12, and pytest preserves definition order).
+conftest.py prints a per-criterion verdict line at the end of the run.
 """
 
 import math
@@ -15,6 +15,7 @@ import pytest
 
 from foulkes.expansions import SchurExpansion, omega_schur, total_dimension
 from foulkes.formulas import (
+    decompose,
     induce_product,
     phi_hook,
     phi_hook_depth1_closed,
@@ -176,6 +177,62 @@ def test_criterion_10_induced_products(total):
                         if c:
                             recombined = recombined + c * oracle_plethysm_s2(lam)
                     assert direct == recombined, (nu, mu)
+
+
+def _grow_row(lam, k):
+    """lam with k cells added to its first row."""
+    return ((lam[0] if lam else 0) + k,) + lam[1:]
+
+
+def _brion_violations(plethysm, shapes):
+    """Brion's monotonicity (Manuscripta Math. 80, 1993): the multiplicity
+    of lam + (2) in s_(nu + (1))[s_2] is at least that of lam in
+    s_nu[s_2], + adding to the first row. By omega, in s_nu[s_(1,1)]
+    the two cells go to the first column instead. plethysm(nu, inner)
+    is the decomposition; returns the number of (nu, inner, lam)
+    checked and the list of violations."""
+    checked, bad = 0, []
+    for nu in shapes:
+        for inner in ("s2", "e2"):
+            small, big = plethysm(nu, inner), plethysm(_grow_row(nu, 1), inner)
+            for lam, m in small.items():
+                grown = _grow_row(lam, 2) if inner == "s2" else lam + (1, 1)
+                checked += 1
+                if big[grown] < m:
+                    bad.append((nu, inner, lam))
+    return checked, bad
+
+
+def _auto_covered(nu):
+    """The shapes decompose's auto method covers: at most two rows, at
+    most two columns, or a hook."""
+    return len(nu) <= 2 or nu[0] <= 2 or nu[1] <= 1
+
+
+@pytest.mark.parametrize("n", range(0, 12))
+def test_criterion_12_brion_monotonicity_formulas(n):
+    # every auto-covered nu whose nu + (1) is covered too, through the
+    # closed formulas, so the LR products run up to |nu + (1)| = 12
+    with _timed(12, n):
+        shapes = [
+            nu
+            for nu in generate_partitions(n)
+            if _auto_covered(nu) and _auto_covered(_grow_row(nu, 1))
+        ]
+        checked, bad = _brion_violations(
+            lambda nu, inner: decompose(nu, inner=inner)[0], shapes
+        )
+        assert checked and not bad, bad
+
+
+@pytest.mark.parametrize("n", range(0, 9))
+def test_criterion_12_brion_monotonicity_oracle(n):
+    oracle = {"s2": oracle_plethysm_s2, "e2": oracle_plethysm_e2}
+    with _timed(12, n):
+        checked, bad = _brion_violations(
+            lambda nu, inner: oracle[inner](nu), generate_partitions(n)
+        )
+        assert checked and not bad, bad
 
 
 def test_criterion_11_performance_envelope():

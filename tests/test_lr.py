@@ -342,6 +342,83 @@ class TestWeightedGroups:
         assert dict(product.items()) == {lam: c for lam, c in expected.items() if c}
 
 
+
+def direct_strip_shapes(k):
+    """The strip shapes of size k that end in a last strip _product_terms
+    places directly: two or more parts, the last a 1 or a 2."""
+    return [b for b in generate_partitions(k) if len(b) > 1 and b[-1] < 3]
+
+
+@st.composite
+def direct_strip_groups(draw):
+    """Up to six distinct sources of one size with int weights in -3..3
+    (zero excluded), and a strip shape from direct_strip_shapes, with
+    |source| + |b| <= 12; sources may have more rows than b."""
+    k = draw(st.integers(2, 12))
+    b = draw(st.sampled_from(direct_strip_shapes(k)))
+    n = draw(st.integers(0, 12 - k))
+    group = draw(
+        st.dictionaries(
+            st.sampled_from(list(generate_partitions(n))),
+            st.integers(-3, 3).filter(bool),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    return tuple(sorted(group.items(), reverse=True)), b
+
+
+class TestStripKernel:
+    """Every strip after the first starts its row scan below the top
+    cell of the strip before, and a last strip of one or two cells is
+    placed without the row search. Every strip shape whose last strip
+    takes that path, against every source of the size, deeper ones
+    included, past the |a| + |b| <= 11 of TestEnginesAgree."""
+
+    @pytest.mark.parametrize("total", range(2, 14))
+    def test_matches_chain_walk(self, total):
+        for k in range(2, total + 1):
+            for b in direct_strip_shapes(k):
+                for a in generate_partitions(total - k):
+                    assert _product_terms(((a, 1),), b) == chain_product_terms(
+                        a, b
+                    ), (a, b)
+
+    def test_matches_coefficient_engine_at_12(self):
+        lams = generate_partitions(12)
+        for k in range(2, 13):
+            for b in direct_strip_shapes(k):
+                for a in generate_partitions(12 - k):
+                    terms = dict(zip(*_product_terms(((a, 1),), b)))
+                    for lam in lams:
+                        assert terms.get(lam, 0) == lr_coefficient(lam, a, b), (
+                            lam,
+                            a,
+                            b,
+                        )
+
+    @given(direct_strip_groups())
+    def test_weighted_groups(self, key):
+        sources, b = key
+        got = dict(zip(*_product_terms(sources, b)))
+        expected = Counter()
+        for a, w in sources:
+            for lam, c in zip(*chain_product_terms(a, b)):
+                expected[lam] += w * c
+        assert got == {lam: c for lam, c in expected.items() if c}
+        for lam in generate_partitions(sum(sources[0][0]) + sum(b)):
+            assert got.get(lam, 0) == sum(
+                w * lr_coefficient(lam, a, b) for a, w in sources
+            ), (lam, sources, b)
+
+    def test_hand_checked_last_strips(self):
+        # s_2 * s_11 = s_31 + s_211: the second strip's cell may not go
+        # on row 1, where the first strip's cell is
+        assert _product_terms((((2,), 1),), (1, 1)) == (((3, 1), (2, 1, 1)), (1, 1))
+        # s_1 * s_22: both cells of the last strip need a row below the
+        # second cell of the first, so (3, 2) and (2, 2, 1) only
+        assert _product_terms((((1,), 1),), (2, 2)) == (((3, 2), (2, 2, 1)), (1, 1))
+
 class TestOperandOrder:
     """schur_multiply hands _product_terms the factor with fewer rows as
     the strip side; the product must not depend on the order given."""

@@ -21,6 +21,7 @@ from foulkes.errors import (
 )
 from foulkes.partitions import (
     _MAX_PARSED_SIZE,
+    _conjugate,
     as_partition,
     centralizer_order,
     conjugate,
@@ -175,6 +176,15 @@ class TestDoubling:
         assert (4,) not in {double_hook(a) for a in generate_distinct_partitions(2)}
 
 
+def conjugate_by_rows(lam):
+    """The conjugate built row by row from the bottom: row i of lam,
+    i >= 1, adds lam[i-1] - lam[i] columns of height i."""
+    conj = []
+    for i in range(len(lam), 0, -1):
+        conj.extend([i] * (lam[i - 1] - (lam[i] if i < len(lam) else 0)))
+    return tuple(conj)
+
+
 class TestConjugate:
     def test_examples(self):
         assert conjugate(()) == ()
@@ -184,6 +194,14 @@ class TestConjugate:
     @given(partitions_of(14))
     def test_involution(self, lam):
         assert conjugate(conjugate(lam)) == lam
+
+    def test_column_walk_matches_row_walk(self):
+        # _conjugate walks the column heights; the row-by-row
+        # construction is the reference, on every partition of n <= 20
+        for n in range(21):
+            for lam in generate_partitions(n):
+                assert _conjugate(lam) == conjugate_by_rows(lam), lam
+                assert _conjugate(_conjugate(lam)) == lam, lam
 
     def test_diagonal_hooks(self):
         assert _diagonal_hook_lengths((4, 3, 1)) == (6, 2)
