@@ -80,7 +80,8 @@ def clear_caches() -> None:
     That is the partition lists, the character columns, the
     Littlewood-Richardson products and the shared copies of their
     shapes, the one-row and one-column bases and their factor
-    products, and the oracle results. The memos are
+    products, the oracle results, the conjugates omega_schur has met
+    and the command line's JSON term heads. The memos are
     process-global and grow with the sizes asked for; clearing them
     frees that memory and changes no result, the next call only
     computes again.

@@ -4,8 +4,9 @@ Subcommands: decompose (closed formulas), oracle (brute force),
 compare (both, with a diff), table (classification table for the
 depth-two shapes), lr (a single Littlewood-Richardson coefficient).
 Each subcommand returns a JSON payload or its text or CSV lines, and
-main prints them. Output is deterministic: identical invocations print
-identical bytes. Timings, when requested, go to stderr.
+main prints them; decompose and oracle return their JSON as one line
+they write themselves. Output is deterministic: identical invocations
+print identical bytes. Timings, when requested, go to stderr.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .lr import lr_coefficient
 from .oracle import oracle_plethysm_e2, oracle_plethysm_s2
 from .partitions import (
     Partition,
+    _MAX_TABLE_N,
     format_partition,
     generate_partitions,
     parse_partition,
@@ -66,16 +68,35 @@ def _terms_payload(exp: SchurExpansion) -> list[dict]:
     return [{"lambda": list(lam), "mult": mult} for lam, mult in exp.items()]
 
 
+def _json_ints(parts: Sequence[int]) -> str:
+    return "[" + ", ".join(map(str, parts)) + "]"
+
+
+@cache
+def _json_term_head(lam: Partition) -> str:
+    """The opening text of lam's JSON term, up to its multiplicity."""
+    return '{"lambda": ' + _json_ints(lam) + ', "mult": '
+
+
 def _expansion_output(
     nu: Partition, inner: str, method: str, exp: SchurExpansion, fmt: str
 ) -> Output:
+    """The lines decompose and oracle print for one expansion.
+
+    The JSON line is written here, term by term, with no dict per term:
+    each term's text up to its multiplicity comes from a per-shape memo.
+    It equals json.dumps of {"nu", "inner", "terms", "method"} with the
+    default separators byte for byte, because every value is an int, a
+    list of ints or one of a fixed set of ASCII names (the inners and
+    method names), which json.dumps writes as plain quoted text.
+    """
     if fmt == "json":
-        return {
-            "nu": list(nu),
-            "inner": inner,
-            "terms": _terms_payload(exp),
-            "method": method,
-        }
+        body = "}, ".join([_json_term_head(lam) + str(m) for lam, m in exp.items()])
+        terms = f"[{body}}}]" if body else "[]"
+        return [
+            f'{{"nu": {_json_ints(nu)}, "inner": "{inner}", '
+            f'"terms": {terms}, "method": "{method}"}}'
+        ]
     if fmt == "csv":
         return ["lambda;mult;table1_class"] + [
             f"{format_partition(lam)};{mult};" for lam, mult in exp.items()
@@ -143,6 +164,8 @@ def _cmd_compare(args: argparse.Namespace, timings: dict) -> tuple[int, Output]:
 def _cmd_table(args: argparse.Namespace, timings: dict) -> tuple[int, Output]:
     n, kind = args.n, args.kind
     nu = table_nu(kind, n)
+    if n > _MAX_TABLE_N:
+        raise ResourceBoundError(f"table n = {n} exceeds the limit {_MAX_TABLE_N}")
     mults = {
         lam: table_multiplicity(lam, kind, n) for lam in generate_partitions(2 * n)
     }

@@ -105,7 +105,9 @@ class _Expansion:
 
     def items(self) -> tuple[tuple[Partition, object], ...]:
         """(partition, coefficient) pairs in canonical (reverse-lex) order."""
-        return tuple(sorted(self._terms.items(), reverse=True))
+        terms = self._terms
+        # sorting the keys alone compares each pair of shapes once
+        return tuple([(lam, terms[lam]) for lam in sorted(terms, reverse=True)])
 
     def support(self) -> tuple[Partition, ...]:
         return tuple(sorted(self._terms, reverse=True))
@@ -332,10 +334,20 @@ def powersum_to_schur(f: PowerSumExpansion) -> SchurExpansion:
     return SchurExpansion._trusted(out)
 
 
+# Conjugates of the shapes omega_schur has met. It fills lazily: a table
+# of every partition of a degree would enumerate about 10^6 of them for
+# decompose 30 --method base --dual.
+_conjugate_memo = cache(_conjugate)
+
+
 def omega_schur(f: SchurExpansion) -> SchurExpansion:
-    """Apply the omega involution: conjugate every index partition."""
+    """Apply the omega involution: conjugate every index partition.
+
+    Each conjugate comes from _conjugate_memo, a process-global memo of
+    the shapes met so far; clear_caches() empties it.
+    """
     return SchurExpansion._trusted(
-        {_conjugate(lam): c for lam, c in f._terms.items()}
+        {_conjugate_memo(lam): c for lam, c in f._terms.items()}
     )
 
 

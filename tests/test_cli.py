@@ -11,7 +11,9 @@ import pytest
 import foulkes
 from foulkes import cli
 from foulkes.expansions import SchurExpansion
-from foulkes.formulas import METHODS
+from foulkes.formulas import METHODS, TABLE_NU_KINDS, decompose
+from foulkes.oracle import oracle_plethysm_e2, oracle_plethysm_s2
+from foulkes.partitions import generate_partitions, parse_partition
 
 DECOMPOSE_21_TEXT = """\
 nu: 2,1
@@ -286,6 +288,18 @@ class TestTable:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("n", ["26", "100000000000000000000"])
+    @pytest.mark.parametrize("kind", TABLE_NU_KINDS)
+    def test_n_above_cap_exits_3_before_enumerating(self, capsys, monkeypatch, n, kind):
+        def enumerate_partitions(size):
+            raise AssertionError(f"partitions of {size} enumerated")
+
+        monkeypatch.setattr(cli, "generate_partitions", enumerate_partitions)
+        code, out, err = run(capsys, "table", n, "--kind", kind, "--verify")
+        assert code == 3
+        assert out == ""
+        assert err == f"error: table n = {n} exceeds the limit 25\n"
+
     def test_json_rows(self, capsys):
         code, out, _ = run(capsys, "table", "4", "--kind", "n-2,1,1", "--format", "json")
         assert code == 0
@@ -348,6 +362,93 @@ def test_import_loads_no_fraction_or_json_module():
         check=True,
     )
     assert proc.stdout == "\n"
+
+
+GOLDEN_JSON_QUERIES = [
+    key.split(" ")
+    for key, (code, _) in json.loads(
+        (Path(__file__).resolve().parents[1] / "bench" / "golden.json").read_text()
+    ).items()
+    if key.split(" ")[0] in ("decompose", "oracle") and "--format json" in key and not code
+]
+
+
+def _covered(nu):
+    """Shapes the auto dispatch covers: two rows, two columns or a hook."""
+    return len(nu) <= 2 or nu[0] <= 2 or nu[1] == 1
+
+
+# From - and 1 on, whose outputs s_() and s_(2) (or s_(1,1)) have one term.
+COVERED_JSON_QUERIES = [
+    ["decompose", ",".join(map(str, nu)) or "-", *dual, "--format", "json"]
+    for n in range(10)
+    for nu in generate_partitions(n)
+    if _covered(nu)
+    for dual in ([], ["--dual"])
+]
+
+
+class TestJsonBytes:
+    """decompose and oracle write their JSON line without json; it must
+    equal json.dumps of the parsed payload byte for byte and carry the
+    library's terms."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        GOLDEN_JSON_QUERIES
+        + COVERED_JSON_QUERIES
+        + [
+            ["decompose", "-", "--method", "base", "--format", "json"],
+            ["oracle", "-", "--format", "json"],
+            ["oracle", "1", "--inner", "e2", "--format", "json"],
+        ],
+        ids=" ".join,
+    )
+    def test_equals_json_dumps(self, capsys, argv):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        payload = json.loads(out)
+        assert out == json.dumps(payload) + "\n"
+        args = cli._build_parser().parse_args(argv)
+        nu = parse_partition(args.nu)
+        if args.command == "decompose":
+            inner = "e2" if args.dual else "s2"
+            exp, method = decompose(nu, args.method, inner)
+        else:
+            inner, method = args.inner, "oracle"
+            exp = (oracle_plethysm_s2 if inner == "s2" else oracle_plethysm_e2)(nu)
+        assert payload == {
+            "nu": list(nu),
+            "inner": inner,
+            "terms": [{"lambda": list(lam), "mult": m} for lam, m in exp.items()],
+            "method": method,
+        }
+
+    def test_empty_expansion(self):
+        out = cli._expansion_output((), "s2", "one-row", SchurExpansion(), "json")
+        payload = {"nu": [], "inner": "s2", "terms": [], "method": "one-row"}
+        assert out == [json.dumps(payload)]
+
+
+@pytest.mark.parametrize("command", ["decompose", "oracle"])
+def test_json_output_loads_no_json_module(command):
+    # -S keeps site hooks from importing json before the CLI runs
+    src = str(Path(foulkes.__file__).resolve().parents[1])
+    code = (
+        "import sys, foulkes.cli\n"
+        f"foulkes.cli.main([{command!r}, '2,1', '--format', 'json'])\n"
+        "print('json' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    line, loaded = proc.stdout.splitlines()
+    assert line.startswith('{"nu": [2, 1], ')
+    assert loaded == "False"
 
 
 class TestClosedPipe:

@@ -8,6 +8,7 @@ from functools import cache
 import pytest
 from hypothesis import given, strategies as st
 
+from foulkes import expansions
 from foulkes.errors import DegreeMismatchError, NonIntegerCoefficientError
 from foulkes.expansions import (
     PowerSumExpansion,
@@ -20,12 +21,15 @@ from foulkes.expansions import (
     schur_to_powersum,
     total_dimension,
 )
+from foulkes.formulas import decompose
+from foulkes.oracle import oracle_plethysm_s2
 from foulkes.partitions import (
     centralizer_order,
     conjugate,
     generate_partitions,
     irreducible_dimension,
 )
+from test_partitions import conjugate_by_rows
 
 # Character tables of S3 and S4, rows and columns both in canonical
 # (reverse-lexicographic) order.  These match the standard printed
@@ -560,6 +564,25 @@ class TestOmega:
 
     def test_zero(self):
         assert omega_schur(SchurExpansion()) == SchurExpansion()
+
+    @pytest.mark.parametrize("inner", ["s2", "e2"])
+    def test_whole_expansions_match_row_conjugates(self, inner):
+        # every covered nu of size <= 8: the memoized conjugates equal
+        # the row-by-row reference, and omega undoes itself
+        for n in range(9):
+            for nu in generate_partitions(n):
+                if len(nu) > 2 and nu[0] > 2 and nu[1] > 1:
+                    continue
+                f, _ = decompose(nu, inner=inner)
+                want = {conjugate_by_rows(lam): c for lam, c in f.items()}
+                assert dict(omega_schur(f).items()) == want, nu
+                assert omega_schur(omega_schur(f)) == f, nu
+
+    def test_memo_holds_only_the_shapes_met(self):
+        f = oracle_plethysm_s2((3, 2, 1))
+        expansions._conjugate_memo.cache_clear()
+        omega_schur(f)
+        assert expansions._conjugate_memo.cache_info().currsize == len(f)
 
 
 class TestTotalDimension:

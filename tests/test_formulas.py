@@ -11,7 +11,7 @@ import sys
 import pytest
 
 import foulkes.cli
-from foulkes import clear_caches, formulas, lr, oracle_plethysm_s2
+from foulkes import clear_caches, expansions, formulas, lr, oracle_plethysm_s2
 from foulkes.errors import InvalidShapeError, UnsupportedShapeError
 from foulkes.expansions import SchurExpansion, omega_schur, total_dimension
 from foulkes.formulas import (
@@ -375,11 +375,15 @@ class TestMemos:
     def test_clear_caches_empties_every_memo(self):
         shapes = [(3, 2), (2, 2, 1), (3, 1, 1), (4,)]
         results = [(decompose(nu), oracle_plethysm_s2(nu)) for nu in shapes]
-        # the command line fills its own memo too
+        # omega's conjugates and the command line's memos fill too
+        assert decompose((3, 2), inner="e2")
         assert foulkes.cli.main(["compare", "2,2,1"]) == 0
+        assert foulkes.cli.main(["decompose", "3,1", "--format", "json"]) == 0
         memos = _memos()
         assert formulas._factor_product in memos and lr._product_terms in memos
         assert lr._shape in memos
+        assert expansions._conjugate_memo in memos
+        assert foulkes.cli._json_term_head in memos
         assert all(memo.cache_info().currsize for memo in memos)
         clear_caches()
         assert [memo.cache_info().currsize for memo in memos] == [0] * len(memos)
