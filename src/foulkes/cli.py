@@ -29,10 +29,11 @@ from .formulas import (
     table_row_class,
 )
 from .lr import lr_coefficient
-from .oracle import oracle_plethysm_e2, oracle_plethysm_s2
+from .oracle import _check_cap, oracle_plethysm_e2, oracle_plethysm_s2
 from .partitions import (
     Partition,
     _MAX_TABLE_N,
+    _parse_digits,
     format_partition,
     generate_partitions,
     parse_partition,
@@ -41,18 +42,23 @@ from .partitions import (
 Output = dict | list[str]
 
 
-def _oracle(nu: Partition, inner: str) -> SchurExpansion:
+def _oracle_cap() -> int | None:
+    """The oracle cap FOULKES_MAX_N sets, or None for the default."""
     raw = os.environ.get("FOULKES_MAX_N")
+    if raw is None:
+        return None
     try:
-        cap = None if raw is None else int(raw)
+        return _parse_digits(raw)
     except ValueError:
-        raise PartitionParseError(
-            f"FOULKES_MAX_N must be an integer, got {raw!r}"
-        ) from None
-    if cap is not None and cap < 0:
-        raise PartitionParseError(
-            f"FOULKES_MAX_N must not be negative, got {raw!r}"
-        )
+        pass
+    if raw.strip()[:1] == "-" and raw.strip()[1:].isdigit():
+        raise PartitionParseError(f"FOULKES_MAX_N must not be negative, got {raw!r}")
+    raise PartitionParseError(
+        f"FOULKES_MAX_N must be an integer in the digits 0-9, got {raw!r}"
+    )
+
+
+def _oracle(nu: Partition, inner: str, cap: int | None) -> SchurExpansion:
     fn = oracle_plethysm_s2 if inner == "s2" else oracle_plethysm_e2
     return fn(nu, max_weight=cap)
 
@@ -122,15 +128,17 @@ def _cmd_decompose(args: argparse.Namespace, timings: dict) -> tuple[int, Output
 
 def _cmd_oracle(args: argparse.Namespace, timings: dict) -> tuple[int, Output]:
     nu = parse_partition(args.nu)
-    result = _timed(timings, "oracle", _oracle, nu, args.inner)
+    result = _timed(timings, "oracle", _oracle, nu, args.inner, _oracle_cap())
     return 0, _expansion_output(nu, args.inner, "oracle", result, args.format)
 
 
 def _cmd_compare(args: argparse.Namespace, timings: dict) -> tuple[int, Output]:
     nu = parse_partition(args.nu)
     inner = "e2" if args.dual else "s2"
+    cap = _oracle_cap()
+    _check_cap(nu, cap)  # before the formula, which can take far longer
     formula, method = _timed(timings, "formula", decompose, nu, args.method, inner)
-    reference = _timed(timings, "oracle", _oracle, nu, inner)
+    reference = _timed(timings, "oracle", _oracle, nu, inner, cap)
     diff = [
         (lam, formula[lam], reference[lam])
         for lam in sorted({*formula.support(), *reference.support()}, reverse=True)
@@ -254,7 +262,9 @@ def _build_parser() -> argparse.ArgumentParser:
     c.set_defaults(handler=_cmd_compare)
 
     t = sub.add_parser("table", help="closed multiplicity table for depth-two nu")
-    t.add_argument("n", type=int)
+    # as type=int, but in the digits 0-9 only; argparse's error names it
+    t.register("type", "int", _parse_digits)
+    t.add_argument("n", type="int")
     t.add_argument("--kind", choices=TABLE_NU_KINDS, required=True)
     t.add_argument("--verify", action="store_true", help="cross-check the formula")
     t.add_argument("--format", choices=("text", "json", "csv"), default="text")

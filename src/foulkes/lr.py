@@ -15,16 +15,15 @@ of terms schur_multiply makes the factor with fewer rows the one whose
 rows become strips. It then groups the pairs by that strip shape and
 hands _product_terms each group whole: the other factors of the group
 with their summed weights, so symmetric pairs merge. The strips are
-added level by level: because the lattice condition links each strip
-only to the one before it, chains that reach the same shape with the
-same bounds for the next strip are merged and extended once, from
-whichever source of the group they start (see _product_terms). Each
-strip visits only its addable rows and bounds every row's count from
-below by what the rows under it can still take. A strip after the
-first starts below the top cell of the strip before, as the lattice
-condition closes every row above, and a strip of one or two cells
-after the first, most of all the states, is placed directly, without
-a search.
+added level by level under one lattice rule (Macdonald, Symmetric
+Functions and Hall Polynomials, I.9): counting from the top, cell j of
+a strip lies on a lower row than cell j of the strip before. As the
+rule links each strip only to the one before it, chains that reach the
+same shape with the same top cells in their last strip are merged and
+extended once, from whichever source of the group they start (see
+_product_terms). A strip of one or two cells, most of all the states,
+is placed by the rule directly; a longer one is searched over the
+addable rows below the top cell of the strip before.
 
 The memo of _product_terms, keyed on the group, lives as long as the
 process and holds most of the memory of the closed formulas, so each
@@ -149,163 +148,138 @@ def _product_terms(
     products with a + b <= 10).
 
     Counts chains a = k0 <= k1 <= ... where step i adds a horizontal
-    strip of b_i cells, subject to the row-prefix lattice condition:
-    through any row r, strip i may not contain more cells in rows 1..r
-    than strip i-1 holds in rows 1..r-1. The coefficient of lam is the
-    number of chains that end in lam, each chain counted with the
-    weight of its source.
+    strip of b_i cells, subject to one lattice rule: counting from the
+    top, cell j of strip i lies on a lower row than cell j of strip i-1.
+    The first strip follows b_0 cells on a virtual row -1, which leave
+    it free. The coefficient of lam is the number of chains that end in
+    lam, each chain counted with the weight of its source.
 
     The chains are merged level by level rather than walked one by
-    one. The lattice condition links strip i+1 to strip i and to no
-    earlier strip, so what can follow strip i depends on two things
-    only: the shape k_i, and the bound strip i puts on each addable row
-    of k_i (its cells strictly above that row, capped at b_{i+1}). One
-    dict per level maps each such state to the weighted number of
-    chains that reach it, and each state is extended once, however many
-    chains share it and from whichever sources they start: the first
-    level holds every source with its weight. The key holds the bounds
-    as the top b_{i+1} cells of strip i, as (row, cells) pairs. Given
-    the shape that is the same information: a row just under a row the
-    strip touched is always addable, so every step of the bounds shows
-    on an addable row.
+    one. The rule links strip i+1 to strip i and to no earlier strip,
+    and strip i+1 has b_{i+1} cells, so what can follow strip i depends
+    on two things only: the shape k_i, and above, the rows of the top
+    b_{i+1} cells of strip i, top first, as in (3, 3, 5). One dict per
+    level maps each such state to the weighted number of chains that
+    reach it, and each state is extended once, however many chains
+    share it and from whichever sources they start: the first level
+    holds every source with its weight. Through row r the rule lets a
+    strip hold at most as many cells as above has entries on rows above
+    r, so every row down to above[0] is closed and every strip scans
+    from the row below it.
 
-    Each strip visits only the rows that can take a cell: the first
-    row, every row below a strictly longer row, and the new row below
-    the shape. A row's count runs down from its capacity (the gap to
-    the row above, within the lattice bound) to the part of the strip
-    that the addable rows below cannot absorb, read off a prefix sum of
-    their capacities, so no branch dies at the bottom of the shape.
-    Rows whose lattice bound is used up are passed over without a
-    call, and a strip that is complete leaves the rows below alone.
-    Skipping the other rows keeps the lattice check exact because the
-    prefix of the previous strip never decreases. A strip after the
-    first is not offered the row of the previous strip's top cell or
-    any row above it at all: their bound is 0, and the row just below
-    that cell is always addable, so the scan starts there. The work
-    grows with the number of strips, which is why schur_multiply
-    passes the factor with fewer rows as b.
+    A strip of one or two cells is placed without a search (in the
+    formula_sweep pool 51,239 of the 61,053 states): one cell on an
+    addable row r below above[0], and the second, if any, on a row r2
+    below above[-1], either r itself when its gap to the row above is
+    at least 2 (row 0 has no row above) or a later addable row. A row
+    below one that took a cell stays addable, and no two of these cells
+    share a column.
 
-    A strip of one or two cells after the first skips the search (in
-    the formula_sweep pool 50,711 of the 61,053 states, 36,904 of them
-    on the last strip). The bound through a row is 0 down to the
-    previous strip's top cell, 1 down to its second cell and 2 below,
-    so one cell goes on any addable row below the top cell; two cells
-    go on one row below the second cell whose gap is at least 2, or one
-    each on addable rows r1 < r2 with r1 below the top cell and r2
-    below the second. A row below one that took a cell stays addable,
-    and no two of these cells share a column. Such a strip is its own
-    key for the next one, cut to its top cell when the next strip has
-    one cell.
+    A longer strip visits only the rows below above[0] that can take a
+    cell: row 0 (up to the whole strip), every row below a strictly
+    longer row, and the new row below the shape. A row's count runs down
+    from its capacity (the gap to the row above, within the lattice
+    bound) to the part of the strip that the addable rows below cannot
+    absorb, read off a prefix sum of their capacities, so no branch dies
+    at the bottom of the shape. Rows whose lattice bound is used up are
+    passed over without a call, and a strip that is complete leaves the
+    rows below alone. Skipping the other rows keeps the lattice check
+    exact because the bound never decreases down the rows. The work
+    grows with the number of strips, which is why schur_multiply passes
+    the factor with fewer rows as b.
     """
     if not b:
         return tuple(_shape(a) for a, _ in sources), tuple(w for _, w in sources)
-    # chains[(shape, seen)]: the weighted number of chains of the strips
-    # so far that end in shape with seen as the last strip's top cells
-    chains: dict[tuple[Partition, tuple[tuple[int, int], ...]], int] = {
-        (a, ()): w for a, w in sources
-    }
+    # chains[(shape, above)]: the weighted number of chains of the strips
+    # so far that end in shape, with above the rows of the last strip's
+    # top cells; the first strip follows one on the virtual row -1
+    chains = {(a, (-1,) * b[0]): w for a, w in sources}
     counts: dict[Partition, int] = {}  # the chains of all the strips
-    for entry, need in enumerate(b):
-        # the next strip can use at most its own size of this strip's
-        # lattice bound, so only that many top cells enter the key
-        keep = b[entry + 1] if entry < len(b) - 1 else 0
-        merged: dict[tuple[Partition, tuple[tuple[int, int], ...]], int] = {}
-        direct = entry and need < 3
-        for (shape, prev), count in chains.items():
-            if direct:
-                # a strip of one or two cells after the first, placed
-                # without fill (see above): one cell on row r, and the
-                # extra one, if any, on r or a later row r2; top and
-                # second are the rows of prev's top and second cells
-                top, second = prev[0][0], prev[-1][0]
-                new = list(shape)
-                new.append(0)
-                rows = [r for r in range(top + 1, len(new)) if new[r - 1] > new[r]]
+    for i, need in enumerate(b):
+        # the next strip is bounded by this one's top keep cells only
+        keep = b[i + 1] if i + 1 < len(b) else 0
+        merged: dict[tuple[Partition, tuple[int, ...]], int] = {}
+        for (shape, above), count in chains.items():
+            new = [*shape, 0]
+            start = above[0] + 1  # the rows up to above[0] are closed
+            if need < 3:
+                # one cell on an addable row r, the second, if any, on r
+                # or a later addable row r2 (see above); row 0 is always
+                # addable, and never short of room
+                rows = [
+                    r for r in range(start, len(new)) if not r or new[r - 1] > new[r]
+                ]
                 extra = need - 1
-                for i, r in enumerate(rows):
+                for j, r in enumerate(rows):
                     new[r] += 1
-                    for r2 in rows[i:] if extra else (r,):
-                        if extra and (r2 <= second or new[r2 - 1] == new[r2]):
+                    for r2 in rows[j:] if extra else (r,):
+                        if r2 <= above[-1] or r2 and new[r2 - 1] - new[r2] < extra:
                             continue
                         new[r2] += extra
                         lam = tuple(new) if new[-1] else tuple(new[:-1])
-                        if keep:  # the strip's top keep cells
-                            cells = ((r, keep),) if r2 == r else ((r, 1), (r2, 1))
-                            key = (lam, cells[:keep])
+                        if keep:
+                            key = (lam, (r, r2)[:keep])
                             merged[key] = merged.get(key, 0) + count
                         else:
                             counts[lam] = counts.get(lam, 0) + count
                         new[r2] -= extra
                     new[r] -= 1
                 continue
-            # One pass over the addable rows: the first row, every row
-            # below a strictly longer one, and the new row under the
-            # shape. caps[i] is what rows[i] can take and upto[i] what
-            # the rows scanned up to rows[i] take together, row 0 aside.
-            # lattice[i] is the most cells this strip may hold through
-            # row rows[i]: the cells of prev above that row. prev holds
-            # exactly need cells, so lattice[i] - placed never exceeds
-            # the cells left to place. The first strip has no lattice
-            # bound; for a later one the scan starts just below prev's
-            # top cell, as the rows above are closed.
-            if entry:
-                start = prev[0][0] + 1
-                rows, caps, upto, lattice = [], [], [], []
-            else:
-                start = 1
-                rows, caps, upto, lattice = [0], [need], [0], [need]
-            total = above = j = 0
-            for r, (x, y) in enumerate(
-                zip(shape[start - 1 :], shape[start:] + (0,)), start
-            ):
+            # One pass over the addable rows from start on. caps[k] is
+            # what rows[k] can take, upto[k] what the rows scanned up to
+            # rows[k] take together, and lattice[k] the most cells this
+            # strip may hold through rows[k]: the entries of above on
+            # rows above it. Row 0 can take the whole strip.
+            tail = shape[start:] + (0,)
+            x = shape[start - 1] if start else tail[0] + need
+            rows, caps, upto, lattice = [], [], [], []
+            total = j = 0
+            for r, y in enumerate(tail, start):
                 if x > y:
                     rows.append(r)
                     caps.append(x - y)
                     total += x - y
                     upto.append(total)
-                    while j < len(prev) and prev[j][0] < r:
-                        above += prev[j][1]
+                    while j < need and above[j] < r:
                         j += 1
-                    lattice.append(above if entry else need)
-            new = list(shape)
-            new.append(0)
-            seen: list[tuple[int, int]] = []
+                    lattice.append(j)
+                x = y
 
-            def fill(i: int, remaining: int, placed: int) -> None:
-                # rows the lattice bound already closes take no cell
-                cap = lattice[i] - placed
+            def fill(
+                k: int, remaining: int, placed: int, top: tuple[int, ...]
+            ) -> None:
+                # top holds the rows of the strip's first cells, at most
+                # keep of them; rows the lattice bound closes take none
+                cap = lattice[k] - placed
                 while cap <= 0:
-                    if remaining + upto[i] > total:
+                    if remaining + upto[k] > total:
                         return
-                    i += 1
-                    cap = lattice[i] - placed
-                if caps[i] < cap:
-                    cap = caps[i]
-                # what the rows below rows[i] cannot absorb: they take
-                # total - upto[i] cells at most
-                low = remaining + upto[i] - total
-                r = rows[i]
+                    k += 1
+                    cap = lattice[k] - placed
+                if caps[k] < cap:
+                    cap = caps[k]
+                # what the rows below rows[k] cannot absorb: they take
+                # total - upto[k] cells at most
+                low = remaining + upto[k] - total
+                r = rows[k]
                 visible = keep - placed
                 for s in range(cap, low - 1 if low > 0 else 0, -1):
                     new[r] += s
-                    if visible > 0:
-                        seen.append((r, s if s < visible else visible))
+                    cells = top + (r,) * (s if s < visible else visible)
                     if s == remaining:  # the strip is complete
                         lam = tuple(new) if new[-1] else tuple(new[:-1])
                         if keep:
-                            key = (lam, tuple(seen))
+                            key = (lam, cells)
                             merged[key] = merged.get(key, 0) + count
                         else:  # the last strip: the chain ends in lam
                             counts[lam] = counts.get(lam, 0) + count
                     else:
-                        fill(i + 1, remaining - s, placed + s)
-                    if visible > 0:
-                        seen.pop()
+                        fill(k + 1, remaining - s, placed + s, cells)
                     new[r] -= s
                 if low <= 0:
-                    fill(i + 1, remaining, placed)
+                    fill(k + 1, remaining, placed, top)
 
-            fill(0, need, 0)
+            fill(0, need, 0, ())
         chains = merged
     order = sorted((lam for lam, c in counts.items() if c), reverse=True)
     return tuple(map(_shape, order)), tuple(counts[lam] for lam in order)

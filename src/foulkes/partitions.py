@@ -224,11 +224,25 @@ def centralizer_order(mu: Iterable[int]) -> int:
     return out
 
 
+def _parse_digits(text: str) -> int:
+    """The int that text spells in ASCII digits, spaces around allowed.
+
+    Raises ValueError on anything else: int() alone would also take
+    '1_1', '+3' and digits of other scripts, such as Arabic-Indic or
+    fullwidth ones.
+    """
+    digits = text.strip()
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not a number in the digits 0-9: {text!r}")
+    return int(digits)
+
+
 def parse_partition(text: str) -> Partition:
     """Parse the shared command-line syntax for partitions.
 
-    Comma-separated positive integers in weakly decreasing order, for
-    example '6,4,4,1,1'. An exponent token like '4^2' repeats a part.
+    Comma-separated positive integers in the digits 0-9, in weakly
+    decreasing order, for example '6,4,4,1,1'. An exponent token like
+    '4^2' repeats a part.
     The empty string and '-' both denote the empty partition. Raises
     PartitionParseError on anything else, and ResourceBoundError when
     the size is above _MAX_PARSED_SIZE, before any part is repeated.
@@ -241,8 +255,8 @@ def parse_partition(text: str) -> Partition:
         token = token.strip()
         base, sep, exp = token.partition("^")
         try:
-            value = int(base)
-            count = int(exp) if sep else 1
+            value = _parse_digits(base)
+            count = _parse_digits(exp) if sep else 1
         except ValueError:
             raise PartitionParseError(f"bad partition token {token!r}") from None
         if value < 1 or count < 1:

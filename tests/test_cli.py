@@ -193,6 +193,15 @@ class TestOracle:
         assert code == 2
         assert "FOULKES_MAX_N" in err
 
+    def test_env_cap_outside_ascii_digits_exits_2(self, capsys, monkeypatch):
+        # int() would read '1_0' as 10
+        monkeypatch.setenv("FOULKES_MAX_N", "1_0")
+        code, out, err = run(capsys, "oracle", "2,1")
+        assert code == 2 and out == ""
+        assert err == (
+            "error: FOULKES_MAX_N must be an integer in the digits 0-9, got '1_0'\n"
+        )
+
     @pytest.mark.parametrize("command", ["oracle", "compare"])
     def test_env_cap_negative_exits_2(self, capsys, monkeypatch, command):
         # a negative cap is a bad setting, not a size |nu| = 0 exceeds
@@ -248,6 +257,18 @@ class TestCompare:
         assert payload["agree"] is False
         assert {"lambda": [2, 2], "formula": 0, "oracle": 1} in payload["diff"]
 
+    def test_oracle_cap_checked_before_the_formula(self, capsys, monkeypatch):
+        def formula(nu, method, inner):
+            raise AssertionError(f"formula run for {nu}")
+
+        monkeypatch.setattr(cli, "decompose", formula)
+        code, out, err = run(capsys, "compare", "10,10")
+        assert code == 3 and out == ""
+        assert err == (
+            "error: |nu| = 20 exceeds the oracle cap 9; "
+            "raise max_weight (or FOULKES_MAX_N for the CLI) to override\n"
+        )
+
 
 class TestTable:
     def test_n4_hook_kind_verify(self, capsys):
@@ -282,6 +303,15 @@ class TestTable:
         else:
             assert "verified: MISMATCH" in out
             assert "  8  table=0  formula=2" in out
+
+    def test_n_outside_ascii_digits_is_a_usage_error(self, capsys):
+        # argparse's type=int would read '1_0' as 10
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["table", "1_0", "--kind", "n-2,2"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument n: invalid 'int' value: '1_0'" in captured.err
 
     def test_too_small_n_exits_2(self, capsys):
         code, _, err = run(capsys, "table", "3", "--kind", "n-2,2")

@@ -13,7 +13,7 @@ import tracemalloc
 from collections import Counter
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from foulkes import clear_caches, formulas
 from foulkes.expansions import SchurExpansion, total_dimension
@@ -344,9 +344,10 @@ class TestWeightedGroups:
 
 
 def direct_strip_shapes(k):
-    """The strip shapes of size k that end in a last strip _product_terms
-    places directly: two or more parts, the last a 1 or a 2."""
-    return [b for b in generate_partitions(k) if len(b) > 1 and b[-1] < 3]
+    """The strip shapes of size k with a strip that _product_terms places
+    directly, without the row search: the last part a 1 or a 2, so the
+    first strip too when it starts with one."""
+    return [b for b in generate_partitions(k) if b[-1] < 3]
 
 
 @st.composite
@@ -354,7 +355,7 @@ def direct_strip_groups(draw):
     """Up to six distinct sources of one size with int weights in -3..3
     (zero excluded), and a strip shape from direct_strip_shapes, with
     |source| + |b| <= 12; sources may have more rows than b."""
-    k = draw(st.integers(2, 12))
+    k = draw(st.integers(1, 12))
     b = draw(st.sampled_from(direct_strip_shapes(k)))
     n = draw(st.integers(0, 12 - k))
     group = draw(
@@ -369,15 +370,15 @@ def direct_strip_groups(draw):
 
 
 class TestStripKernel:
-    """Every strip after the first starts its row scan below the top
-    cell of the strip before, and a last strip of one or two cells is
-    placed without the row search. Every strip shape whose last strip
-    takes that path, against every source of the size, deeper ones
-    included, past the |a| + |b| <= 11 of TestEnginesAgree."""
+    """Every strip starts its row scan below the top cell of the strip
+    before, and a strip of one or two cells, the first one included, is
+    placed without the row search. Every strip shape with such a strip,
+    against every source of the size, a = () and deeper ones included,
+    past the |a| + |b| <= 11 of TestEnginesAgree."""
 
-    @pytest.mark.parametrize("total", range(2, 14))
+    @pytest.mark.parametrize("total", range(1, 14))
     def test_matches_chain_walk(self, total):
-        for k in range(2, total + 1):
+        for k in range(1, total + 1):
             for b in direct_strip_shapes(k):
                 for a in generate_partitions(total - k):
                     assert _product_terms(((a, 1),), b) == chain_product_terms(
@@ -386,7 +387,7 @@ class TestStripKernel:
 
     def test_matches_coefficient_engine_at_12(self):
         lams = generate_partitions(12)
-        for k in range(2, 13):
+        for k in range(1, 13):
             for b in direct_strip_shapes(k):
                 for a in generate_partitions(12 - k):
                     terms = dict(zip(*_product_terms(((a, 1),), b)))
@@ -398,6 +399,9 @@ class TestStripKernel:
                         )
 
     @given(direct_strip_groups())
+    # first strips of one and two cells, rows 0 and 1 of the sources open
+    @example(((((2, 1), 2), ((1, 1, 1), -1)), (1, 1, 1)))
+    @example(((((3,), 1), ((2, 1), 3), ((1, 1, 1), -2)), (2, 2, 1)))
     def test_weighted_groups(self, key):
         sources, b = key
         got = dict(zip(*_product_terms(sources, b)))
@@ -418,6 +422,8 @@ class TestStripKernel:
         # s_1 * s_22: both cells of the last strip need a row below the
         # second cell of the first, so (3, 2) and (2, 2, 1) only
         assert _product_terms((((1,), 1),), (2, 2)) == (((3, 2), (2, 2, 1)), (1, 1))
+        # a first strip of two cells on the empty shape: both on row 0
+        assert _product_terms((((), 1),), (2,)) == (((2,),), (1,))
 
 class TestOperandOrder:
     """schur_multiply hands _product_terms the factor with fewer rows as

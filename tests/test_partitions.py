@@ -310,7 +310,12 @@ class TestParsing:
         assert parse_partition(" 3 , 1 ") == (3, 1)
 
     @pytest.mark.parametrize(
-        "bad", ["1,3", "0", "-2", "a", "3,,1", "2^0", "2^-1", "1.5", "3 1"]
+        "bad",
+        [
+            "1,3", "0", "-2", "a", "3,,1", "2^0", "2^-1", "1.5", "3 1",
+            # int() would take these: underscores, a sign, non-ASCII digits
+            "1_1", "3^0_2", "+3", "2^+2", "\u0663,1", "\uff12,1",
+        ],
     )
     def test_parse_rejects(self, bad):
         with pytest.raises(PartitionParseError):
