@@ -16,7 +16,7 @@ import os
 import sys
 import time
 from functools import cache
-from typing import Sequence
+from typing import NoReturn, Sequence
 
 from .errors import FoulkesError, PartitionParseError, ResourceBoundError
 from .expansions import SchurExpansion, total_dimension
@@ -33,6 +33,8 @@ from .oracle import _check_cap, oracle_plethysm_e2, oracle_plethysm_s2
 from .partitions import (
     Partition,
     _MAX_TABLE_N,
+    _clip,
+    _clip_int,
     _parse_digits,
     format_partition,
     generate_partitions,
@@ -51,10 +53,11 @@ def _oracle_cap() -> int | None:
         return _parse_digits(raw)
     except ValueError:
         pass
+    shown = repr(_clip(raw))
     if raw.strip()[:1] == "-" and raw.strip()[1:].isdigit():
-        raise PartitionParseError(f"FOULKES_MAX_N must not be negative, got {raw!r}")
+        raise PartitionParseError(f"FOULKES_MAX_N must not be negative, got {shown}")
     raise PartitionParseError(
-        f"FOULKES_MAX_N must be an integer in the digits 0-9, got {raw!r}"
+        f"FOULKES_MAX_N must be an integer in the digits 0-9, got {shown}"
     )
 
 
@@ -173,7 +176,9 @@ def _cmd_table(args: argparse.Namespace, timings: dict) -> tuple[int, Output]:
     n, kind = args.n, args.kind
     nu = table_nu(kind, n)
     if n > _MAX_TABLE_N:
-        raise ResourceBoundError(f"table n = {n} exceeds the limit {_MAX_TABLE_N}")
+        raise ResourceBoundError(
+            f"table n = {_clip_int(n)} exceeds the limit {_MAX_TABLE_N}"
+        )
     mults = {
         lam: table_multiplicity(lam, kind, n) for lam in generate_partitions(2 * n)
     }
@@ -227,9 +232,27 @@ def _cmd_lr(args: argparse.Namespace, timings: dict) -> tuple[int, Output]:
     return 0, [str(value)]
 
 
+def _table_n(text: str) -> int:
+    """table's n: as type=int, in the digits 0-9 only and of any length."""
+    try:
+        return _parse_digits(text)
+    except ValueError:
+        msg = f"invalid 'int' value: {_clip(text)!r}"
+        raise argparse.ArgumentTypeError(msg) from None
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser whose usage errors are one line, as the
+    package's own errors are: the usage summary is left out, -h has it."""
+
+    def error(self, message: str) -> NoReturn:
+        message = message.replace("\n", "\\n")  # an argument echoed raw
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 @cache
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="foulkes",
         description=(
             "Decompose the plethysms s_nu(s_(2)) and s_nu(s_(1,1)) into "
@@ -262,9 +285,7 @@ def _build_parser() -> argparse.ArgumentParser:
     c.set_defaults(handler=_cmd_compare)
 
     t = sub.add_parser("table", help="closed multiplicity table for depth-two nu")
-    # as type=int, but in the digits 0-9 only; argparse's error names it
-    t.register("type", "int", _parse_digits)
-    t.add_argument("n", type="int")
+    t.add_argument("n", type=_table_n)
     t.add_argument("--kind", choices=TABLE_NU_KINDS, required=True)
     t.add_argument("--verify", action="store_true", help="cross-check the formula")
     t.add_argument("--format", choices=("text", "json", "csv"), default="text")

@@ -21,9 +21,10 @@ a strip lies on a lower row than cell j of the strip before. As the
 rule links each strip only to the one before it, chains that reach the
 same shape with the same top cells in their last strip are merged and
 extended once, from whichever source of the group they start (see
-_product_terms). A strip of one or two cells, most of all the states,
-is placed by the rule directly; a longer one is searched over the
-addable rows below the top cell of the strip before.
+_product_terms). One loop places every strip, whatever its size: cell
+by cell, top first, on the addable rows below the top cell of the strip
+before, with an explicit stack, so no recursion depth grows with the
+strip either.
 
 The memo of _product_terms, keyed on the group, lives as long as the
 process and holds most of the memory of the closed formulas, so each
@@ -167,26 +168,21 @@ def _product_terms(
     r, so every row down to above[0] is closed and every strip scans
     from the row below it.
 
-    A strip of one or two cells is placed without a search (in the
-    formula_sweep pool 51,239 of the 61,053 states): one cell on an
-    addable row r below above[0], and the second, if any, on a row r2
-    below above[-1], either r itself when its gap to the row above is
-    at least 2 (row 0 has no row above) or a later addable row. A row
-    below one that took a cell stays addable, and no two of these cells
-    share a column.
-
-    A longer strip visits only the rows below above[0] that can take a
-    cell: row 0 (up to the whole strip), every row below a strictly
-    longer row, and the new row below the shape. A row's count runs down
-    from its capacity (the gap to the row above, within the lattice
-    bound) to the part of the strip that the addable rows below cannot
-    absorb, read off a prefix sum of their capacities, so no branch dies
-    at the bottom of the shape. Rows whose lattice bound is used up are
-    passed over without a call, and a strip that is complete leaves the
-    rows below alone. Skipping the other rows keeps the lattice check
-    exact because the bound never decreases down the rows. The work
-    grows with the number of strips, which is why schur_multiply passes
-    the factor with fewer rows as b.
+    One loop places every strip, cell by cell, top first, on the
+    addable rows: row 0 (up to the whole strip), every row below a
+    strictly longer row, and the new row below the shape. Cell j is
+    tried on them in order, from the row of cell j - 1 down, and goes on
+    one that lies below above[j], still has room (the gap to the row
+    above) and leaves enough room on it and the rows below for the
+    need - j - 1 cells still to come. That room check is the only
+    pruning; once it fails it fails on every lower row too, so the loop
+    takes cell j - 1 off and moves it one row down. Taking the rows in
+    order gives every strip once, no branch dies at the bottom of the
+    shape, and the rows down to above[0] are never visited. A placed
+    strip costs about 2.6 steps of the loop when it has two cells and
+    4-6 when it has four or more, so the work grows with the number and
+    the size of the strips, which is why schur_multiply passes the
+    factor with fewer rows as b.
     """
     if not b:
         return tuple(_shape(a) for a, _ in sources), tuple(w for _, w in sources)
@@ -200,86 +196,64 @@ def _product_terms(
         keep = b[i + 1] if i + 1 < len(b) else 0
         merged: dict[tuple[Partition, tuple[int, ...]], int] = {}
         for (shape, above), count in chains.items():
-            new = [*shape, 0]
-            start = above[0] + 1  # the rows up to above[0] are closed
-            if need < 3:
-                # one cell on an addable row r, the second, if any, on r
-                # or a later addable row r2 (see above); row 0 is always
-                # addable, and never short of room
-                rows = [
-                    r for r in range(start, len(new)) if not r or new[r - 1] > new[r]
-                ]
-                extra = need - 1
-                for j, r in enumerate(rows):
-                    new[r] += 1
-                    for r2 in rows[j:] if extra else (r,):
-                        if r2 <= above[-1] or r2 and new[r2 - 1] - new[r2] < extra:
-                            continue
-                        new[r2] += extra
-                        lam = tuple(new) if new[-1] else tuple(new[:-1])
-                        if keep:
-                            key = (lam, (r, r2)[:keep])
-                            merged[key] = merged.get(key, 0) + count
-                        else:
-                            counts[lam] = counts.get(lam, 0) + count
-                        new[r2] -= extra
-                    new[r] -= 1
-                continue
-            # One pass over the addable rows from start on. caps[k] is
-            # what rows[k] can take, upto[k] what the rows scanned up to
-            # rows[k] take together, and lattice[k] the most cells this
-            # strip may hold through rows[k]: the entries of above on
-            # rows above it. Row 0 can take the whole strip.
+            # the addable rows below above[0] and free[k], what rows[k] can
+            # still take: row 0 the whole strip, any other the gap to the
+            # row above; upto[k] is what rows[:k + 1] take together
+            start = above[0] + 1
             tail = shape[start:] + (0,)
             x = shape[start - 1] if start else tail[0] + need
-            rows, caps, upto, lattice = [], [], [], []
-            total = j = 0
+            rows, free, upto = [], [], []
+            total = 0
             for r, y in enumerate(tail, start):
                 if x > y:
                     rows.append(r)
-                    caps.append(x - y)
+                    free.append(x - y)
                     total += x - y
                     upto.append(total)
-                    while j < need and above[j] < r:
-                        j += 1
-                    lattice.append(j)
                 x = y
-
-            def fill(
-                k: int, remaining: int, placed: int, top: tuple[int, ...]
-            ) -> None:
-                # top holds the rows of the strip's first cells, at most
-                # keep of them; rows the lattice bound closes take none
-                cap = lattice[k] - placed
-                while cap <= 0:
-                    if remaining + upto[k] > total:
-                        return
-                    k += 1
-                    cap = lattice[k] - placed
-                if caps[k] < cap:
-                    cap = caps[k]
-                # what the rows below rows[k] cannot absorb: they take
-                # total - upto[k] cells at most
-                low = remaining + upto[k] - total
-                r = rows[k]
-                visible = keep - placed
-                for s in range(cap, low - 1 if low > 0 else 0, -1):
-                    new[r] += s
-                    cells = top + (r,) * (s if s < visible else visible)
-                    if s == remaining:  # the strip is complete
-                        lam = tuple(new) if new[-1] else tuple(new[:-1])
-                        if keep:
-                            key = (lam, cells)
-                            merged[key] = merged.get(key, 0) + count
-                        else:  # the last strip: the chain ends in lam
-                            counts[lam] = counts.get(lam, 0) + count
-                    else:
-                        fill(k + 1, remaining - s, placed + s, cells)
-                    new[r] -= s
-                if low <= 0:
-                    fill(k + 1, remaining, placed, top)
-
-            fill(0, need, 0, ())
+            free.append(0)  # past the last row: no room
+            upto.append(total)
+            # cell j fits on rows[k] if free[k] and the rows below hold
+            # need - j cells: free[k] + total - upto[k] >= need - j
+            spare = total - need
+            new = [*shape, 0]
+            at = [0] * need  # at[j]: the index in rows of cell j
+            top = [0] * need  # top[j]: the row of cell j
+            j = k = 0
+            while True:
+                if free[k] + j + spare >= upto[k]:
+                    r = rows[k]
+                    new[r] += 1
+                    top[j] = r
+                    if j + 1 < need:
+                        # the last cell is taken off at once, so only the
+                        # others book their room; the next cell starts on
+                        # this row if it has room left, and below
+                        # above[j], as rows[-1] always is
+                        free[k] -= 1
+                        at[j] = k
+                        j += 1
+                        if not free[k]:
+                            k += 1
+                        while rows[k] <= above[j]:
+                            k += 1
+                        continue
+                    lam = tuple(new) if new[-1] else tuple(new[:-1])
+                    if keep:
+                        key = (lam, tuple(top[:keep]))
+                        merged[key] = merged.get(key, 0) + count
+                    else:  # the last strip: the chain ends in lam
+                        counts[lam] = counts.get(lam, 0) + count
+                    new[r] -= 1
+                elif j:
+                    # no row left for cell j: move cell j - 1 down
+                    j -= 1
+                    k = at[j]
+                    new[top[j]] -= 1
+                    free[k] += 1
+                else:
+                    break
+                k += 1
         chains = merged
     order = sorted((lam for lam, c in counts.items() if c), reverse=True)
     return tuple(map(_shape, order)), tuple(counts[lam] for lam in order)

@@ -224,17 +224,47 @@ def centralizer_order(mu: Iterable[int]) -> int:
     return out
 
 
+# Python's int() and str() refuse numbers of more digits than
+# sys.get_int_max_str_digits() allows (4300 by default, at least 640
+# when set); _parse_digits and _clip_int work round that limit
+_CHUNK = 600
+
+
 def _parse_digits(text: str) -> int:
     """The int that text spells in ASCII digits, spaces around allowed.
 
+    Reads every length the same way, past the digits int() takes.
     Raises ValueError on anything else: int() alone would also take
     '1_1', '+3' and digits of other scripts, such as Arabic-Indic or
     fullwidth ones.
     """
     digits = text.strip()
     if not (digits.isascii() and digits.isdigit()):
-        raise ValueError(f"not a number in the digits 0-9: {text!r}")
-    return int(digits)
+        raise ValueError(f"not a number in the digits 0-9: {_clip(text)!r}")
+    return _digits_value(digits)
+
+
+def _digits_value(digits: str) -> int:
+    """The int of a string of ASCII digits, split into halves down to
+    _CHUNK digits, so the cost grows as fast as int multiplication."""
+    if len(digits) <= _CHUNK:
+        return int(digits)
+    half = len(digits) // 2
+    return _digits_value(digits[:-half]) * 10**half + _digits_value(digits[-half:])
+
+
+def _clip(text: str) -> str:
+    """text as an error line echoes it: the first 40 characters, and
+    '...' when there are more."""
+    return text if len(text) <= 40 else text[:40] + "..."
+
+
+def _clip_int(n: int) -> str:
+    """_clip of the decimal digits of n >= 0, however many there are."""
+    # n has more than cut + 40 digits, so dropping cut of them keeps the
+    # first 40 and the '...'
+    cut = int(n.bit_length() * math.log10(2)) - 45
+    return _clip(str(n // 10**cut if cut > 0 else n))
 
 
 def parse_partition(text: str) -> Partition:
@@ -257,15 +287,17 @@ def parse_partition(text: str) -> Partition:
         try:
             value = _parse_digits(base)
             count = _parse_digits(exp) if sep else 1
+            if value < 1 or count < 1:
+                raise ValueError
         except ValueError:
-            raise PartitionParseError(f"bad partition token {token!r}") from None
-        if value < 1 or count < 1:
-            raise PartitionParseError(f"bad partition token {token!r}")
+            bad = f"bad partition token {_clip(token)!r}"
+            raise PartitionParseError(bad) from None
         runs.append((value, count))
     size = sum(value * count for value, count in runs)
     if size > _MAX_PARSED_SIZE:
         raise ResourceBoundError(
-            f"partition size {size} exceeds the parse limit {_MAX_PARSED_SIZE}"
+            f"partition size {_clip_int(size)} exceeds the parse limit "
+            f"{_MAX_PARSED_SIZE}"
         )
     parts = [value for value, count in runs for _ in range(count)]
     try:

@@ -1,12 +1,16 @@
 """Command-line surface: rendering, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import foulkes
 from foulkes import cli
@@ -160,6 +164,54 @@ class TestOversizedPartition:
         assert code == 3
         assert out == ""
         assert err == "error: partition size 1999999998 exceeds the parse limit 1000000\n"
+
+
+# int() refuses more than 4300 digits by default; every entry point
+# reads a digit string of any length the same way
+LONG_DIGITS = [4000, 5000, 20000]
+
+
+class TestLongDigitStrings:
+    @pytest.mark.parametrize("length", LONG_DIGITS)
+    def test_decompose_exits_3(self, capsys, length):
+        code, out, err = run(capsys, "decompose", "9" * length)
+        assert (code, out) == (3, "")
+        assert err == (
+            f"error: partition size {'9' * 40}... exceeds the parse limit 1000000\n"
+        )
+
+    @pytest.mark.parametrize("length", LONG_DIGITS)
+    def test_table_exits_3(self, capsys, length):
+        code, out, err = run(capsys, "table", "9" * length, "--kind", "n-2,2")
+        assert (code, out) == (3, "")
+        assert err == f"error: table n = {'9' * 40}... exceeds the limit 25\n"
+
+    @pytest.mark.parametrize("length", LONG_DIGITS)
+    def test_env_cap_of_any_length_is_read(self, capsys, monkeypatch, length):
+        expected = run(capsys, "oracle", "2,1")
+        monkeypatch.setenv("FOULKES_MAX_N", "9" * length)
+        assert run(capsys, "oracle", "2,1") == expected
+        monkeypatch.setenv("FOULKES_MAX_N", "0" * length + "2")
+        code, _, err = run(capsys, "oracle", "2,1")
+        assert code == 3 and "exceeds the oracle cap 2;" in err
+
+    def test_echoed_tokens_are_cut_short(self, capsys, monkeypatch):
+        junk = "x" * 5000
+        code, _, err = run(capsys, "decompose", f"3,{junk}")
+        assert (code, err) == (2, f"error: bad partition token '{'x' * 40}...'\n")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["table", junk, "--kind", "n-2,2"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == (
+            f"foulkes table: error: argument n: invalid 'int' value: '{'x' * 40}...'\n"
+        )
+        monkeypatch.setenv("FOULKES_MAX_N", junk)
+        code, _, err = run(capsys, "oracle", "2,1")
+        assert (code, err) == (
+            2,
+            f"error: FOULKES_MAX_N must be an integer in the digits 0-9, "
+            f"got '{'x' * 40}...'\n",
+        )
 
 
 class TestOracle:
@@ -497,3 +549,53 @@ class TestClosedPipe:
         _, err = proc.communicate(timeout=60)
         assert proc.returncode == 1
         assert err == b""
+
+
+# Pieces of a partition token: small parts and repeats, the empty
+# partition, spaces, junk, and long digit runs both above the parse
+# limit and, under leading zeros, small. Joined by commas, a token's
+# size stays at 18 cells or below unless it is past the parse limit, so
+# every covered shape it spells is quick to expand.
+_SMALL = st.sampled_from("123")
+_PIECES = st.one_of(
+    _SMALL,
+    st.builds("{}^{}".format, _SMALL, st.sampled_from(["0", "1", "2", "", "x"])),
+    st.sampled_from(
+        ["", "-", " ", "^", "0", "x", "_1", "+2", "-1", "1.5", "\u0663", "\uff12", "\n"]
+    ),
+    st.integers(7, 6000).map(lambda n: "9" * n),
+    st.integers(1, 6000).map(lambda n: "0" * n + "2"),
+)
+_TOKENS = st.lists(_PIECES, max_size=3).map(",".join)
+_ARGVS = st.one_of(
+    st.tuples(st.just("decompose"), _TOKENS, st.sampled_from([(), ("--dual",)])).map(
+        lambda a: [a[0], a[1], *a[2]]
+    ),
+    st.tuples(st.sampled_from(["oracle", "compare"]), _TOKENS).map(list),
+    st.tuples(
+        st.just("table"),
+        st.one_of(_TOKENS, st.sampled_from("456789")),
+        st.just("--kind"),
+        st.sampled_from(TABLE_NU_KINDS),
+    ).map(list),
+    st.tuples(st.just("lr"), _TOKENS, _TOKENS, _TOKENS).map(list),
+)
+
+
+class TestArgvFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(_ARGVS)
+    def test_every_argv_ends_in_a_defined_exit_and_one_line(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:  # argparse's usage errors
+                code = exc.code
+        assert time.perf_counter() - start < 10, argv
+        assert code in (0, 1, 2, 3), (argv, code)
+        text = err.getvalue()
+        assert text == "" or (text.count("\n") == 1 and text.endswith("\n")), text
+        assert "Traceback" not in text
+        assert bool(text) == (code in (2, 3)), (argv, code, text)

@@ -342,21 +342,13 @@ class TestWeightedGroups:
         assert dict(product.items()) == {lam: c for lam, c in expected.items() if c}
 
 
-
-def direct_strip_shapes(k):
-    """The strip shapes of size k with a strip that _product_terms places
-    directly, without the row search: the last part a 1 or a 2, so the
-    first strip too when it starts with one."""
-    return [b for b in generate_partitions(k) if b[-1] < 3]
-
-
 @st.composite
-def direct_strip_groups(draw):
+def deep_weighted_groups(draw):
     """Up to six distinct sources of one size with int weights in -3..3
-    (zero excluded), and a strip shape from direct_strip_shapes, with
-    |source| + |b| <= 12; sources may have more rows than b."""
+    (zero excluded), and any strip shape b, with |source| + |b| <= 12;
+    sources may have more rows than b."""
     k = draw(st.integers(1, 12))
-    b = draw(st.sampled_from(direct_strip_shapes(k)))
+    b = draw(st.sampled_from(generate_partitions(k)))
     n = draw(st.integers(0, 12 - k))
     group = draw(
         st.dictionaries(
@@ -370,16 +362,15 @@ def direct_strip_groups(draw):
 
 
 class TestStripKernel:
-    """Every strip starts its row scan below the top cell of the strip
-    before, and a strip of one or two cells, the first one included, is
-    placed without the row search. Every strip shape with such a strip,
-    against every source of the size, a = () and deeper ones included,
-    past the |a| + |b| <= 11 of TestEnginesAgree."""
+    """One loop places every strip cell by cell, on the rows below the
+    top cell of the strip before. Every strip shape against every source
+    of the size, a = () and deeper ones included, past the
+    |a| + |b| <= 11 of TestEnginesAgree."""
 
     @pytest.mark.parametrize("total", range(1, 14))
     def test_matches_chain_walk(self, total):
         for k in range(1, total + 1):
-            for b in direct_strip_shapes(k):
+            for b in generate_partitions(k):
                 for a in generate_partitions(total - k):
                     assert _product_terms(((a, 1),), b) == chain_product_terms(
                         a, b
@@ -388,7 +379,7 @@ class TestStripKernel:
     def test_matches_coefficient_engine_at_12(self):
         lams = generate_partitions(12)
         for k in range(1, 13):
-            for b in direct_strip_shapes(k):
+            for b in generate_partitions(k):
                 for a in generate_partitions(12 - k):
                     terms = dict(zip(*_product_terms(((a, 1),), b)))
                     for lam in lams:
@@ -398,10 +389,12 @@ class TestStripKernel:
                             b,
                         )
 
-    @given(direct_strip_groups())
+    @given(deep_weighted_groups())
     # first strips of one and two cells, rows 0 and 1 of the sources open
     @example(((((2, 1), 2), ((1, 1, 1), -1)), (1, 1, 1)))
     @example(((((3,), 1), ((2, 1), 3), ((1, 1, 1), -2)), (2, 2, 1)))
+    # and strips of three cells over sources of different lengths
+    @example(((((3,), -1), ((2, 1), 2)), (3, 3)))
     def test_weighted_groups(self, key):
         sources, b = key
         got = dict(zip(*_product_terms(sources, b)))
@@ -424,6 +417,30 @@ class TestStripKernel:
         assert _product_terms((((1,), 1),), (2, 2)) == (((3, 2), (2, 2, 1)), (1, 1))
         # a first strip of two cells on the empty shape: both on row 0
         assert _product_terms((((), 1),), (2,)) == (((2,),), (1,))
+        # strips of three and four cells, each product read off Pieri's
+        # rule for the other factor times a one-row Schur function
+        assert _product_terms((((), 1),), (3, 3)) == (((3, 3),), (1,))
+        assert _product_terms((((2, 1), 1),), (3,)) == (
+            ((5, 1), (4, 2), (4, 1, 1), (3, 2, 1)),
+            (1, 1, 1, 1),
+        )
+        assert _product_terms((((2, 2), 1),), (4,)) == (
+            ((6, 2), (5, 2, 1), (4, 2, 2)),
+            (1, 1, 1),
+        )
+        # s_3 * s_33, as s_33 * s_3: one horizontal strip of 3 cells on
+        # (3, 3), so none on row 1
+        assert _product_terms((((3,), 1),), (3, 3)) == (
+            ((6, 3), (5, 3, 1), (4, 3, 2), (3, 3, 3)),
+            (1, 1, 1, 1),
+        )
+        # s_2 * s_44, as s_44 * s_2: one horizontal strip of 2 cells on
+        # (4, 4), so none on row 1
+        assert _product_terms((((2,), 1),), (4, 4)) == (
+            ((6, 4), (5, 4, 1), (4, 4, 2)),
+            (1, 1, 1),
+        )
+
 
 class TestOperandOrder:
     """schur_multiply hands _product_terms the factor with fewer rows as

@@ -21,7 +21,9 @@ from foulkes.errors import (
 )
 from foulkes.partitions import (
     _MAX_PARSED_SIZE,
+    _clip_int,
     _conjugate,
+    _parse_digits,
     as_partition,
     centralizer_order,
     conjugate,
@@ -333,6 +335,31 @@ class TestParsing:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+
+    @pytest.mark.parametrize("length", [4000, 4301, 5000, 20000])
+    def test_digit_strings_of_any_length(self, length):
+        # int() refuses more than 4300 digits by default; the parser reads
+        # every length the same way and echoes 40 characters at most
+        nines = "9" * length
+        assert _parse_digits(nines) == 10**length - 1
+        assert parse_partition("0" * length + "3,2") == (3, 2)
+        assert parse_partition(f"2^{'0' * length}2") == (2, 2)
+        with pytest.raises(ResourceBoundError) as exc:
+            parse_partition(nines)
+        assert str(exc.value) == (
+            f"partition size {'9' * 40}... exceeds the parse limit {_MAX_PARSED_SIZE}"
+        )
+        with pytest.raises(PartitionParseError) as exc:
+            parse_partition(f"3,{nines}x")
+        assert str(exc.value) == f"bad partition token '{'9' * 40}...'"
+
+    @pytest.mark.parametrize(
+        "digits",
+        ["0", "7", "9" * 40, "1" + "0" * 40, str(2**3000), "1234567890" * 600],
+    )
+    def test_clipped_numbers_keep_their_first_digits(self, digits):
+        shown = digits if len(digits) <= 40 else digits[:40] + "..."
+        assert _clip_int(_parse_digits(digits)) == shown
 
     def test_size_limit_is_inclusive(self):
         half = _MAX_PARSED_SIZE // 2
