@@ -9,18 +9,28 @@ hook shape, plus dedicated closed forms for nu = (n-1, 1) and
 nu = (2, 1^(n-2)) and a classification table for nu = (n-2, 1, 1) and
 nu = (n-2, 2). decompose picks the formula that fits a given nu.
 
-Plethysm by s_(2) is a ring map, so every term of the two-row,
-two-column and hook sums is a factor product h_a[s_2]*h_b[s_2],
-e_a[s_2]*e_b[s_2] or h_a[s_2]*e_b[s_2] of the one-row (h_a[s_2]) and
-one-column (e_a[s_2]) decompositions. Those bases and their products
-are memoized, the products on (a, b, kind) with kind "hh", "ee" or
-"he" and the factors of "hh" and "ee" in a fixed order. So each
-product is computed once per process and shared: by decompose with
-either inner (e2 only applies omega), by neighbouring r of one n (the
-second term of phi_two_row(n, r+1) is the first of phi_two_row(n, r),
-and likewise for two columns), and by every hook of one n in both
-variants. Like the other memos of the package these are process-global
-and grow with the sizes asked for; foulkes.clear_caches() empties them.
+Plethysm by s_(2) is a ring map, so each of the two-row, two-column and
+hook formulas is a list of signed terms (sign, a, b, kind), one per
+factor product h_a[s_2]*h_b[s_2] (kind "hh"), e_a[s_2]*e_b[s_2] ("ee")
+or h_a[s_2]*e_b[s_2] ("he") of the one-row (h_a[s_2]) and one-column
+(e_a[s_2]) decompositions, and one evaluator, _signed_sum, adds them
+up. The two-row and two-column lists are the 2x2 Jacobi-Trudi
+determinant h_(n-r) h_r - h_(n-r+1) h_(r-1) and its dual in e
+(Macdonald I.3), with h_b = e_b = 0 for b < 0; the hook lists are two
+alternating sums over h*e. The bases and the products are memoized,
+the products on (a, b, kind) with the factors of "hh" and "ee" in a
+fixed order. So each product is computed once per process and shared:
+by decompose with either inner (e2 only applies omega), by neighbouring
+r of one n (the second term of phi_two_row(n, r+1) is the first of
+phi_two_row(n, r), and likewise for two columns), and by every hook of
+one n in both variants. Like the other memos of the package these are
+process-global and grow with the sizes asked for;
+foulkes.clear_caches() empties them.
+
+Each alternating-sum method covers nu by one shape rule, kept in
+_SHAPE_RULES: at most two rows, at most two columns, or a hook.
+decompose checks a named method against its rule, and its 'auto'
+method takes the first method whose rule nu meets.
 """
 
 from __future__ import annotations
@@ -54,48 +64,30 @@ TABLE_NU_KINDS = ("n-2,1,1", "n-2,2")
 # shape of nu and "base" is the one-row or one-column case.
 METHODS = ("auto", "two-row", "two-column", "hook-first", "hook-second", "base")
 
-_TABLE_CLASSES = (
-    "all-even",
-    "2-odd-distinct",
-    "2-odd-equal",
-    "4-odd-distinct",
-    "4-odd-one-pair",
-    "4-odd-two-pairs",
-    "other",
-)
-
 
 @cache
-def _one_row(n: int) -> SchurExpansion:
+def phi_one_row(n: int) -> SchurExpansion:
+    """Decomposition for nu = (n): one copy of s_lam for every doubled
+    partition lam = 2 * alpha with alpha a partition of n."""
+    if n < 0:
+        raise InvalidShapeError("n must be nonnegative")
     return SchurExpansion._trusted(
         {double(alpha): 1 for alpha in generate_partitions(n)}
     )
 
 
 @cache
-def _one_column(n: int) -> SchurExpansion:
-    return SchurExpansion._trusted(
-        {double_hook(alpha): 1 for alpha in generate_distinct_partitions(n)}
-    )
-
-
-def phi_one_row(n: int) -> SchurExpansion:
-    """Decomposition for nu = (n): one copy of s_lam for every doubled
-    partition lam = 2 * alpha with alpha a partition of n."""
-    if n < 0:
-        raise InvalidShapeError("n must be nonnegative")
-    return _one_row(n)
-
-
 def phi_one_column(n: int) -> SchurExpansion:
     """Decomposition for nu = (1^n): one copy of s_lam for every
     double hook lam built from a distinct-part partition of n."""
     if n < 0:
         raise InvalidShapeError("n must be nonnegative")
-    return _one_column(n)
+    return SchurExpansion._trusted(
+        {double_hook(alpha): 1 for alpha in generate_distinct_partitions(n)}
+    )
 
 
-_BASES = {"h": _one_row, "e": _one_column}
+_BASES = {"h": phi_one_row, "e": phi_one_column}
 
 
 @cache
@@ -117,18 +109,34 @@ def induce_product(f: SchurExpansion, g: SchurExpansion) -> SchurExpansion:
     return schur_multiply(f, g)
 
 
-def _signed_sum(terms: Iterable[tuple[int, SchurExpansion]]) -> SchurExpansion:
-    """Sum of sign * f over the (sign, f) pairs of one degree,
-    accumulated in one dict that starts as a copy of the first term
-    when its sign is +1, as it is in every sum here."""
+def _signed_sum(terms: Iterable[tuple[int, int, int, str]]) -> SchurExpansion:
+    """Sum of sign * _factor_product(a, b, kind) over the terms
+    (sign, a, b, kind) of one degree. A term with b < 0 is zero, since
+    h_b = e_b = 0 there, and is never evaluated. The rest accumulate in
+    one dict that starts as a copy of the first product when its sign
+    is +1, as it is in every sum here."""
     acc: dict[Partition, int] = {}
-    for sign, f in terms:
+    for sign, a, b, kind in terms:
+        if b < 0:
+            continue
+        f = _factor_product(a, b, kind)._terms
         if acc or sign != 1:
-            for lam, c in f._terms.items():
+            for lam, c in f.items():
                 acc[lam] = acc.get(lam, 0) + sign * c
         else:
-            acc = dict(f._terms)
+            acc = dict(f)
     return SchurExpansion._trusted(acc)
+
+
+def _two_by_two(n: int, r: int, kind: str) -> SchurExpansion:
+    """The 2x2 Jacobi-Trudi determinant h_(n-r) h_r - h_(n-r+1) h_(r-1)
+    of the plethysm bases (kind "hh"), or its dual in e (kind "ee"), for
+    n >= 1 and 0 <= 2r <= n."""
+    if n < 1:
+        raise InvalidShapeError("n must be a positive integer")
+    if r < 0 or 2 * r > n:
+        raise InvalidShapeError(f"need 0 <= 2r <= n, got n={n}, r={r}")
+    return _signed_sum([(1, n - r, r, kind), (-1, n - r + 1, r - 1, kind)])
 
 
 def phi_two_row(n: int, r: int) -> SchurExpansion:
@@ -137,14 +145,7 @@ def phi_two_row(n: int, r: int) -> SchurExpansion:
     Products of one-row decompositions for the split (n-r, r) minus the
     products for the split (n-r+1, r-1).
     """
-    if n < 1:
-        raise InvalidShapeError("n must be a positive integer")
-    if r < 0 or r > n - r:
-        raise InvalidShapeError(f"need 0 <= r <= n-r, got n={n}, r={r}")
-    terms = [(1, _factor_product(n - r, r, "hh"))]
-    if r:
-        terms.append((-1, _factor_product(n - r + 1, r - 1, "hh")))
-    return _signed_sum(terms)
+    return _two_by_two(n, r, "hh")
 
 
 def phi_two_column(n: int, r: int) -> SchurExpansion:
@@ -153,14 +154,7 @@ def phi_two_column(n: int, r: int) -> SchurExpansion:
     Same telescoping difference as phi_two_row with the one-column
     decompositions in place of the one-row ones.
     """
-    if n < 1:
-        raise InvalidShapeError("n must be a positive integer")
-    if r < 0 or 2 * r > n:
-        raise InvalidShapeError(f"need 0 <= 2r <= n, got n={n}, r={r}")
-    terms = [(1, _factor_product(n - r, r, "ee"))]
-    if r:
-        terms.append((-1, _factor_product(n - r + 1, r - 1, "ee")))
-    return _signed_sum(terms)
+    return _two_by_two(n, r, "ee")
 
 
 def phi_hook(n: int, r: int, variant: str = "first") -> SchurExpansion:
@@ -178,12 +172,10 @@ def phi_hook(n: int, r: int, variant: str = "first") -> SchurExpansion:
     if variant not in ("first", "second"):
         raise ValueError(f"variant must be 'first' or 'second', got {variant!r}")
     if variant == "first":
-        splits = [(n - r + j, r - j, (-1) ** j) for j in range(r + 1)]
+        terms = [((-1) ** j, n - r + j, r - j, "he") for j in range(r + 1)]
     else:
-        splits = [(n - r - j, r + j, (-1) ** (j - 1)) for j in range(1, n - r + 1)]
-    return _signed_sum(
-        (sign, _factor_product(a, b, "he")) for a, b, sign in splits
-    )
+        terms = [((-1) ** (j - 1), n - r - j, r + j, "he") for j in range(1, n - r + 1)]
+    return _signed_sum(terms)
 
 
 def phi_hook_depth1_closed(n: int) -> SchurExpansion:
@@ -374,6 +366,18 @@ def decompose(
     return (omega_schur(result) if inner == "e2" else result), method
 
 
+# The shape rule of each alternating-sum method: whether it covers a
+# nonempty nu, and what the error says of an nu it does not cover.
+# hook-second shares hook-first's rule, so auto, which takes the first
+# method whose rule nu meets, never picks it.
+_SHAPE_RULES = {
+    "two-row": (lambda nu: len(nu) <= 2, "has more than two rows"),
+    "two-column": (lambda nu: nu[0] <= 2, "has more than two columns"),
+    "hook-first": (lambda nu: len(nu) < 2 or nu[1] <= 1, "is not a hook"),
+}
+_SHAPE_RULES["hook-second"] = _SHAPE_RULES["hook-first"]
+
+
 def _closed_formula(nu: Partition, method: str) -> tuple[SchurExpansion, str]:
     n = sum(nu)
     if not nu or method == "base":
@@ -385,30 +389,20 @@ def _closed_formula(nu: Partition, method: str) -> tuple[SchurExpansion, str]:
             f"base form needs a single row or column, got {format_partition(nu)}"
         )
     if method == "auto":
-        if len(nu) <= 2:
-            method = "two-row"
-        elif nu[0] <= 2:
-            method = "two-column"
-        elif nu[1] <= 1:
-            method = "hook-first"
+        for method, (covers, _) in _SHAPE_RULES.items():
+            if covers(nu):
+                break
         else:
             raise UnsupportedShapeError(
                 f"{format_partition(nu)} has more than two rows, more than two "
                 "columns, and is not a hook"
             )
+    else:
+        covers, fault = _SHAPE_RULES[method]
+        if not covers(nu):
+            raise UnsupportedShapeError(f"{format_partition(nu)} {fault}")
     if method == "two-row":
-        if len(nu) > 2:
-            raise UnsupportedShapeError(
-                f"{format_partition(nu)} has more than two rows"
-            )
         return phi_two_row(n, nu[1] if len(nu) == 2 else 0), method
     if method == "two-column":
-        if nu[0] > 2:
-            raise UnsupportedShapeError(
-                f"{format_partition(nu)} has more than two columns"
-            )
         return phi_two_column(n, nu.count(2)), method
-    if len(nu) >= 2 and nu[1] > 1:
-        raise UnsupportedShapeError(f"{format_partition(nu)} is not a hook")
-    variant = "first" if method == "hook-first" else "second"
-    return phi_hook(n, len(nu) - 1, variant), method
+    return phi_hook(n, len(nu) - 1, method.removeprefix("hook-")), method

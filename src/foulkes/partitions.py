@@ -30,11 +30,6 @@ Partition = tuple[int, ...]
 # 8 MB, before an exponent token like '2^999999999' is expanded.
 _MAX_PARSED_SIZE = 10**6
 
-# Largest n the command line's table builds. The table runs over every
-# partition of 2n: n = 20 takes 0.86 s at 39 MB, n = 25 4.1 s at 141 MB
-# (Python 3.11.7), and the count grows about 1.4x with each step of n.
-_MAX_TABLE_N = 25
-
 
 def as_partition(parts: Iterable[int]) -> Partition:
     """Validate *parts* and return it as a canonical partition tuple.

@@ -246,13 +246,16 @@ class TestOracle:
         assert "FOULKES_MAX_N" in err
 
     def test_env_cap_outside_ascii_digits_exits_2(self, capsys, monkeypatch):
-        # int() would read '1_0' as 10
-        monkeypatch.setenv("FOULKES_MAX_N", "1_0")
-        code, out, err = run(capsys, "oracle", "2,1")
-        assert code == 2 and out == ""
-        assert err == (
-            "error: FOULKES_MAX_N must be an integer in the digits 0-9, got '1_0'\n"
-        )
+        # int() would read '1_0' as 10; a minus before Arabic-Indic or
+        # fullwidth digits is not a negative number in the digits 0-9
+        for raw in ["1_0", "-\u0663", "-\uff13"]:
+            monkeypatch.setenv("FOULKES_MAX_N", raw)
+            code, out, err = run(capsys, "oracle", "2,1")
+            assert code == 2 and out == ""
+            assert err == (
+                "error: FOULKES_MAX_N must be an integer in the digits 0-9, "
+                f"got {raw!r}\n"
+            )
 
     @pytest.mark.parametrize("command", ["oracle", "compare"])
     def test_env_cap_negative_exits_2(self, capsys, monkeypatch, command):

@@ -126,6 +126,19 @@ class TestTwoColumn:
         with pytest.raises(InvalidShapeError):
             phi_two_column(2, -1)
 
+    @pytest.mark.parametrize("n", range(-1, 9))
+    def test_same_domain_as_two_row(self, n):
+        # phi_two_row and phi_two_column share one body: n >= 1, 0 <= 2r <= n
+        for r in range(-1, n + 2):
+            defined = []
+            for phi in (phi_two_row, phi_two_column):
+                try:
+                    phi(n, r)
+                    defined.append(True)
+                except InvalidShapeError:
+                    defined.append(False)
+            assert defined == [n >= 1 and 0 <= 2 * r <= n] * 2, (n, r)
+
     @pytest.mark.parametrize("n", range(1, 8))
     def test_conjugate_of_two_row_labels(self, n):
         # nu = (2^r, 1^(n-2r)) is the conjugate of (n-r, r); the expansions
@@ -292,6 +305,37 @@ class TestDecompose:
     def test_unsupported_shape(self):
         with pytest.raises(UnsupportedShapeError):
             decompose((3, 2, 1))
+
+    # The shape each named method covers, written out here apart from
+    # the dispatcher's own rules.
+    SHAPE_RULES = {
+        "two-row": lambda nu: len(nu) <= 2,
+        "two-column": lambda nu: nu[0] <= 2,
+        "hook-first": lambda nu: len(nu) < 2 or nu[1] <= 1,
+        "hook-second": lambda nu: len(nu) < 2 or nu[1] <= 1,
+        "base": lambda nu: len(nu) == 1 or nu[0] == 1,
+    }
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_every_method_on_every_shape(self, n):
+        assert set(self.SHAPE_RULES) == set(METHODS) - {"auto"}
+        for nu in generate_partitions(n):
+            got = {}
+            for method in METHODS:
+                try:
+                    got[method] = decompose(nu, method)
+                except UnsupportedShapeError:
+                    got[method] = None
+            for method, covers in self.SHAPE_RULES.items():
+                assert (got[method] is not None) == covers(nu), (nu, method)
+                if got[method] is not None and method != "base":
+                    assert got[method][1] == method
+            if got["base"] is not None:
+                assert got["base"][1] == ("one-row" if len(nu) == 1 else "one-column")
+            # auto is the first of two-row, two-column and hook-first that
+            # covers nu, result and label, and raises when none does
+            first = [got[m] for m in ("two-row", "two-column", "hook-first")]
+            assert got["auto"] == next(filter(None, first), None), nu
 
     @pytest.mark.parametrize(
         "nu, method",
