@@ -77,11 +77,13 @@ __version__ = "0.1.0"
 def clear_caches() -> None:
     """Empty every functools.cache memo of the package's loaded modules.
 
-    That is the partition lists, the character columns, the
+    That is the partition lists, the character columns, the border
+    strip tables, the power-sum expansions of s_nu, the
     Littlewood-Richardson products and the shared copies of their
-    shapes, the one-row and one-column bases and their factor
-    products, the oracle results, the conjugates omega_schur has met
-    and the command line's JSON term heads. The memos are
+    shapes, the one-row and one-column bases, their factor products
+    and the alternating sums over them, the oracle results, the
+    conjugates omega_schur has met and the command line's JSON term
+    heads. The memos are
     process-global and grow with the sizes asked for; clearing them
     frees that memory and changes no result, the next call only
     computes again.

@@ -10,18 +10,24 @@ of their arithmetic skip revalidation through _trusted.
 Symmetric group character values come from the Murnaghan-Nakayama rule
 run forwards: the column chi^lam_mu over every lam, which is the Schur
 expansion of p_mu, is p_mu[0] times the column of mu[1:], each shape in
-it growing by every mu[0]-cell border strip. Columns are memoized on
-the cycle type mu alone, the strips added on the (shape, strip size)
-pair; the memos are process-global and a concurrent duplicate
-computation is harmless. powersum_to_schur uses the same step once per
-largest part instead of once per term: it sums the columns of the
-rests of every mu with that largest part and adds the strips to that
-sum, so it never builds a column of the full degree.
+it growing by every mu[0]-cell border strip. powersum_to_schur uses the
+same step once per largest part instead of once per term: it sums the
+columns of the rests of every mu with that largest part and adds the
+strips to that sum, so it never builds a column of the full degree.
+
+Columns are memoized on the cycle type mu alone, and schur_to_powersum
+on nu. The strips are kept in one table per (m, k), a list indexed by
+the position of the shape in generate_partitions(m), whose rows are
+filled the first time a column or a sum reaches that shape; both loops
+read a row by index, so no shape is hashed per entry. The memos are
+process-global, foulkes.clear_caches() empties them, and a concurrent
+duplicate computation is harmless.
 """
 
 from __future__ import annotations
 
 import operator
+from bisect import bisect_left
 from functools import cache
 from math import lcm
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
@@ -198,7 +204,6 @@ def _position(n: int) -> dict[Partition, int]:
     return {lam: i for i, lam in enumerate(generate_partitions(n))}
 
 
-@cache
 def _add_strips(rho: Partition, k: int) -> tuple[tuple[int, int], ...]:
     """(position, sign) of every shape rho plus a k-cell border strip.
 
@@ -207,7 +212,8 @@ def _add_strips(rho: Partition, k: int) -> tuple[tuple[int, int], ...]:
     free place. The bead of row idx lands at row t, the number of beads
     above its new place: rows t..idx-1 each gain a cell, row t holds the
     moved bead, and the sign is (-1)^(idx - t), the beads jumped.
-    Positions index generate_partitions(|rho| + k).
+    Positions index generate_partitions(|rho| + k). Never empty: the
+    bead of the first padded row can always move up.
     """
     padded = rho + (0,) * k
     beads = [part - j for j, part in enumerate(padded)]
@@ -231,20 +237,43 @@ def _add_strips(rho: Partition, k: int) -> tuple[tuple[int, int], ...]:
 
 
 @cache
+def _strip_table(m: int, k: int) -> list[tuple[tuple[int, int], ...] | None]:
+    """Row j holds _add_strips(generate_partitions(m)[j], k), or None
+    until _strip_row first fills it. Rows fill lazily: a full table of
+    every shape would enumerate strips no column ever reaches."""
+    return [None] * len(generate_partitions(m))
+
+
+def _strip_row(m: int, k: int, j: int) -> tuple[tuple[int, int], ...]:
+    """Fill row j of _strip_table(m, k) and return it."""
+    row = _strip_table(m, k)[j] = _add_strips(generate_partitions(m)[j], k)
+    return row
+
+
+@cache
 def _chi(mu: Partition) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The column chi^lam_mu over every lam of |mu|, i.e. the Schur
     expansion of p_mu, as the positions in generate_partitions(|mu|) of
-    the lam with a non-zero value and those values."""
+    the lam with a non-zero value, ascending, and those values."""
     if not mu:
         return (0,), (1,)
     k, rest = mu[0], mu[1:]
-    shapes = generate_partitions(sum(rest))
-    column = [0] * len(generate_partitions(sum(mu)))
+    m = sum(rest)
+    table = _strip_table(m, k)
+    column = [0] * len(generate_partitions(m + k))
     for j, value in zip(*_chi(rest)):
-        for i, sign in _add_strips(shapes[j], k):
+        for i, sign in table[j] or _strip_row(m, k, j):
             column[i] += sign * value
     nonzero = [i for i, value in enumerate(column) if value]
     return tuple(nonzero), tuple(column[i] for i in nonzero)
+
+
+def _chi_at(mu: Partition, i: int) -> int:
+    """chi^lam_mu for the lam at position i of generate_partitions(|mu|),
+    bisected in the column's ascending positions."""
+    positions, values = _chi(mu)
+    at = bisect_left(positions, i)
+    return values[at] if at < len(positions) and positions[at] == i else 0
 
 
 def mn_character(lam: Iterable[int], mu: Iterable[int]) -> int:
@@ -254,13 +283,16 @@ def mn_character(lam: Iterable[int], mu: Iterable[int]) -> int:
     partitions have the same size. The first value for a new cycle
     type of size n computes its whole column, which enumerates the
     partitions of n.
+
+    >>> mn_character((2, 1), (1, 1, 1)), mn_character((2, 1), (3,))
+    (2, -1)
     """
     lam = as_partition(lam)
     mu = as_partition(mu)
     n = sum(lam)
     if n != sum(mu):
         raise DegreeMismatchError(f"|{lam}| != |{mu}|")
-    return dict(zip(*_chi(mu))).get(_position(n)[lam], 0)
+    return _chi_at(mu, _position(n)[lam])
 
 
 def schur_to_powersum(nu: Iterable[int]) -> PowerSumExpansion:
@@ -269,16 +301,24 @@ def schur_to_powersum(nu: Iterable[int]) -> PowerSumExpansion:
     The coefficient of p_mu is chi^nu_mu divided by the centralizer
     order of mu. The first call for a size n computes the character
     column of every cycle type of n, which enumerates the partitions
-    of n.
+    of n. Results are memoized per nu, so the s2 and e2 oracles of one
+    nu share one.
+
+    >>> schur_to_powersum((2, 1))
+    PowerSumExpansion({(3,): -1/3, (1, 1, 1): 1/3})
     """
+    return _schur_to_powersum(as_partition(nu))
+
+
+@cache
+def _schur_to_powersum(nu: Partition) -> PowerSumExpansion:
     from fractions import Fraction
 
-    nu = as_partition(nu)
     n = sum(nu)
     i = _position(n)[nu]
     data = {}
     for mu in generate_partitions(n):
-        ch = dict(zip(*_chi(mu))).get(i)
+        ch = _chi_at(mu, i)
         if ch:
             data[mu] = Fraction(ch, centralizer_order(mu))
     return PowerSumExpansion._trusted(data)
@@ -297,6 +337,9 @@ def powersum_to_schur(f: PowerSumExpansion) -> SchurExpansion:
     Raises NonIntegerCoefficientError at the first s_lam in reverse-lex
     order whose division leaves a remainder, which means f was not an
     integral Schur combination to begin with.
+
+    >>> powersum_to_schur(PowerSumExpansion({(1, 1): 1}))
+    SchurExpansion({(2,): 1, (1, 1): 1})
     """
     n = f.degree
     if n is None:
@@ -311,14 +354,15 @@ def powersum_to_schur(f: PowerSumExpansion) -> SchurExpansion:
         else:
             totals[0] = coeff
     for r, rests in groups.items():
-        shapes = generate_partitions(n - r)
-        inner = [0] * len(shapes)
+        m = n - r
+        table = _strip_table(m, r)
+        inner = [0] * len(table)
         for rest, coeff in rests.items():
             for j, ch in zip(*_chi(rest)):
                 inner[j] += coeff * ch
-        for rho, value in zip(shapes, inner):
+        for j, value in enumerate(inner):
             if value:
-                for i, sign in _add_strips(rho, r):
+                for i, sign in table[j] or _strip_row(m, r, j):
                     totals[i] += sign * value
     out: dict[Partition, int] = {}
     for lam, total in zip(generate_partitions(n), totals):

@@ -20,10 +20,11 @@ determinant h_(n-r) h_r - h_(n-r+1) h_(r-1) and its dual in e
 alternating sums over h*e. The bases and the products are memoized,
 the products on (a, b, kind) with the factors of "hh" and "ee" in a
 fixed order. So each product is computed once per process and shared:
-by decompose with either inner (e2 only applies omega), by neighbouring
-r of one n (the second term of phi_two_row(n, r+1) is the first of
-phi_two_row(n, r), and likewise for two columns), and by every hook of
-one n in both variants. Like the other memos of the package these are
+by neighbouring r of one n (the second term of phi_two_row(n, r+1) is
+the first of phi_two_row(n, r), and likewise for two columns), and by
+every hook of one n in both variants. Each sum is memoized on its tuple
+of terms, so decompose with either inner adds it up once (e2 only
+applies omega). Like the other memos of the package these are
 process-global and grow with the sizes asked for;
 foulkes.clear_caches() empties them.
 
@@ -109,12 +110,14 @@ def induce_product(f: SchurExpansion, g: SchurExpansion) -> SchurExpansion:
     return schur_multiply(f, g)
 
 
-def _signed_sum(terms: Iterable[tuple[int, int, int, str]]) -> SchurExpansion:
+@cache
+def _signed_sum(terms: tuple[tuple[int, int, int, str], ...]) -> SchurExpansion:
     """Sum of sign * _factor_product(a, b, kind) over the terms
-    (sign, a, b, kind) of one degree. A term with b < 0 is zero, since
-    h_b = e_b = 0 there, and is never evaluated. The rest accumulate in
-    one dict that starts as a copy of the first product when its sign
-    is +1, as it is in every sum here."""
+    (sign, a, b, kind) of one degree, memoized on the tuple of terms, so
+    decompose's e2 takes omega of the s2 sum instead of adding it again.
+    A term with b < 0 is zero, since h_b = e_b = 0 there, and is never
+    evaluated. The rest accumulate in one dict that starts as a copy of
+    the first product when its sign is +1, as it is in every sum here."""
     acc: dict[Partition, int] = {}
     for sign, a, b, kind in terms:
         if b < 0:
@@ -136,7 +139,7 @@ def _two_by_two(n: int, r: int, kind: str) -> SchurExpansion:
         raise InvalidShapeError("n must be a positive integer")
     if r < 0 or 2 * r > n:
         raise InvalidShapeError(f"need 0 <= 2r <= n, got n={n}, r={r}")
-    return _signed_sum([(1, n - r, r, kind), (-1, n - r + 1, r - 1, kind)])
+    return _signed_sum(((1, n - r, r, kind), (-1, n - r + 1, r - 1, kind)))
 
 
 def phi_two_row(n: int, r: int) -> SchurExpansion:
@@ -172,10 +175,10 @@ def phi_hook(n: int, r: int, variant: str = "first") -> SchurExpansion:
     if variant not in ("first", "second"):
         raise ValueError(f"variant must be 'first' or 'second', got {variant!r}")
     if variant == "first":
-        terms = [((-1) ** j, n - r + j, r - j, "he") for j in range(r + 1)]
+        terms = (((-1) ** j, n - r + j, r - j, "he") for j in range(r + 1))
     else:
-        terms = [((-1) ** (j - 1), n - r - j, r + j, "he") for j in range(1, n - r + 1)]
-    return _signed_sum(terms)
+        terms = (((-1) ** (j - 1), n - r - j, r + j, "he") for j in range(1, n - r + 1))
+    return _signed_sum(tuple(terms))
 
 
 def phi_hook_depth1_closed(n: int) -> SchurExpansion:

@@ -27,13 +27,14 @@ from .partitions import Partition, as_partition
 
 # Cap on |nu| for oracle runs. The first call at a size n fills the
 # character columns it needs, those of the power-sum terms of 2n with
-# the largest part taken out, about 2x the time and 1.2-1.6x the memory
-# per step (cold s_(n)[s_2]: 20 ms at n = 9, 40 ms at 10, 70 ms at 11,
-# 0.14 s and 30 MB max RSS at 12 on a 2-core VM, Python 3.11.7); a
-# later call of that size adds the columns it still lacks (2-3 ms at
-# n = 10). The bench golden table pins exit 3 for the oracle queries at
-# |nu| = 10, so the cap stays at 9. Callers can raise it explicitly (the
-# CLI reads FOULKES_MAX_N).
+# the largest part taken out, about 1.4-3.4x the time and 1.2-1.6x the
+# memory per step (cold s_(n)[s_2]: 34 ms at n = 9, 56 ms at 10, 0.19 s
+# at 11, 0.26 s at 12, and 29 MB max RSS for s2 then e2 at 12, on a
+# 2-core VM whose speed drifts by up to 2x, Python 3.11.7); a later
+# call of that size adds the columns it still lacks. The bench golden
+# table pins exit 3 for the oracle queries at |nu| = 10, so the cap
+# stays at 9. Callers can raise it explicitly (the CLI reads
+# FOULKES_MAX_N).
 DEFAULT_MAX_WEIGHT = 9
 
 

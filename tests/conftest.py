@@ -20,7 +20,7 @@ _LABELS = {
     9: "nonnegativity of every emitted multiplicity",
     10: "induced products match Littlewood-Richardson recombination",
     11: "performance envelope (n <= 6 under 60s, full run under 600s)",
-    12: "Brion monotonicity: formulas |nu| <= 11, oracle |nu| <= 8",
+    12: "Brion monotonicity: formulas |nu| <= 11, oracle |nu| <= 10",
 }
 
 _results: dict[int, dict[str, int]] = {}

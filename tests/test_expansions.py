@@ -2,6 +2,7 @@
 
 import math
 import operator
+import random
 from fractions import Fraction
 from functools import cache
 
@@ -430,6 +431,17 @@ class TestMnCharacter:
         with pytest.raises(DegreeMismatchError):
             mn_character((2, 1), (2, 2))
 
+    @pytest.mark.parametrize("mu", [(20,), (10, 10), (5, 5, 5, 5)])
+    def test_sparse_column(self, mu):
+        # most lam of 20 have value 0 on these cycle types, so most
+        # lookups fall between two of the column's stored positions
+        parts = generate_partitions(20)
+        assert 2 * len(expansions._chi(mu)[0]) < len(parts)
+        got = [mn_character(lam, mu) for lam in parts]
+        assert got == [removal_character(lam, mu) for lam in parts]
+        assert mn_character((18, 1, 1), (20,)) == 1
+        assert mn_character((10, 10), (20,)) == 0
+
 
 class TestAddStrips:
     @pytest.mark.parametrize("total", range(1, 15))
@@ -437,6 +449,20 @@ class TestAddStrips:
         for k in range(1, total + 1):
             for rho in generate_partitions(total - k):
                 assert _add_strips(rho, k) == _sorted_bead_strips(rho, k), (rho, k)
+
+    def test_table_rows_fill_in_any_order(self):
+        rng = random.Random(1409)
+        expansions._strip_table.cache_clear()
+        for m in range(11):
+            shapes = generate_partitions(m)
+            for k in range(1, 11):
+                table = expansions._strip_table(m, k)
+                assert table == [None] * len(shapes)
+                order = list(range(len(shapes)))
+                rng.shuffle(order)
+                for j in order:
+                    expansions._strip_row(m, k, j)
+                assert table == [_sorted_bead_strips(rho, k) for rho in shapes], (m, k)
 
     def test_examples(self):
         # (2, 1) plus a 3-cell strip; (2, 2, 2) moves the bead of the

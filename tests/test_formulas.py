@@ -409,6 +409,7 @@ class TestMemos:
     @pytest.mark.parametrize("n, r", [(6, 0), (7, 1), (8, 3)])
     def test_neighbouring_r_share_a_product(self, phi, n, r):
         formulas._factor_product.cache_clear()
+        formulas._signed_sum.cache_clear()
         phi(n, r)
         before = formulas._factor_product.cache_info()
         phi(n, r + 1)
@@ -417,6 +418,7 @@ class TestMemos:
         assert (after.misses, after.hits) == (before.misses + 1, before.hits + 1)
 
     def test_clear_caches_empties_every_memo(self):
+        clear_caches()
         shapes = [(3, 2), (2, 2, 1), (3, 1, 1), (4,)]
         results = [(decompose(nu), oracle_plethysm_s2(nu)) for nu in shapes]
         # omega's conjugates and the command line's memos fill too
@@ -425,8 +427,11 @@ class TestMemos:
         assert foulkes.cli.main(["decompose", "3,1", "--format", "json"]) == 0
         memos = _memos()
         assert formulas._factor_product in memos and lr._product_terms in memos
+        assert formulas._signed_sum in memos
         assert lr._shape in memos
         assert expansions._conjugate_memo in memos
+        assert expansions._strip_table in memos
+        assert expansions._schur_to_powersum in memos
         assert foulkes.cli._json_term_head in memos
         assert all(memo.cache_info().currsize for memo in memos)
         clear_caches()
