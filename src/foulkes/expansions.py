@@ -10,18 +10,19 @@ of their arithmetic skip revalidation through _trusted.
 Symmetric group character values come from the Murnaghan-Nakayama rule
 run forwards: the column chi^lam_mu over every lam, which is the Schur
 expansion of p_mu, is p_mu[0] times the column of mu[1:], each shape in
-it growing by every mu[0]-cell border strip. powersum_to_schur uses the
-same step once per largest part instead of once per term: it sums the
-columns of the rests of every mu with that largest part and adds the
-strips to that sum, so it never builds a column of the full degree.
+it growing by every mu[0]-cell border strip. That strip step is one
+function, _add_strip_layer, and powersum_to_schur calls it once per
+largest part instead of once per term: it sums the columns of the rests
+of every mu with that largest part and adds the strips to that sum, so
+it never builds a column of the full degree.
 
 Columns are memoized on the cycle type mu alone, and schur_to_powersum
 on nu. The strips are kept in one table per (m, k), a list indexed by
-the position of the shape in generate_partitions(m), whose rows are
-filled the first time a column or a sum reaches that shape; both loops
-read a row by index, so no shape is hashed per entry. The memos are
-process-global, foulkes.clear_caches() empties them, and a concurrent
-duplicate computation is harmless.
+the position of the shape in generate_partitions(m), whose rows
+_add_strip_layer fills the first time a column or a sum reaches that
+shape; it reads a row by index, so no shape is hashed per entry. The
+memos are process-global, foulkes.clear_caches() empties them, and a
+concurrent duplicate computation is harmless.
 """
 
 from __future__ import annotations
@@ -239,15 +240,28 @@ def _add_strips(rho: Partition, k: int) -> tuple[tuple[int, int], ...]:
 @cache
 def _strip_table(m: int, k: int) -> list[tuple[tuple[int, int], ...] | None]:
     """Row j holds _add_strips(generate_partitions(m)[j], k), or None
-    until _strip_row first fills it. Rows fill lazily: a full table of
-    every shape would enumerate strips no column ever reaches."""
+    until _add_strip_layer first reaches shape j. Rows fill lazily: a
+    full table of every shape would enumerate strips no column ever
+    reaches."""
     return [None] * len(generate_partitions(m))
 
 
-def _strip_row(m: int, k: int, j: int) -> tuple[tuple[int, int], ...]:
-    """Fill row j of _strip_table(m, k) and return it."""
-    row = _strip_table(m, k)[j] = _add_strips(generate_partitions(m)[j], k)
-    return row
+def _add_strip_layer(
+    column: Iterable[tuple[int, int]], m: int, k: int, out: list[int]
+) -> None:
+    """The strip step shared by _chi and powersum_to_schur: add
+    value * sign into out[i] for every non-zero (j, value) of column,
+    a position j in generate_partitions(m), and every (i, sign) of
+    _add_strips(generate_partitions(m)[j], k), filling that row of
+    _strip_table(m, k) the first time it is met."""
+    table = _strip_table(m, k)
+    for j, value in column:
+        if value:
+            row = table[j]
+            if row is None:
+                row = table[j] = _add_strips(generate_partitions(m)[j], k)
+            for i, sign in row:
+                out[i] += sign * value
 
 
 @cache
@@ -257,13 +271,8 @@ def _chi(mu: Partition) -> tuple[tuple[int, ...], tuple[int, ...]]:
     the lam with a non-zero value, ascending, and those values."""
     if not mu:
         return (0,), (1,)
-    k, rest = mu[0], mu[1:]
-    m = sum(rest)
-    table = _strip_table(m, k)
-    column = [0] * len(generate_partitions(m + k))
-    for j, value in zip(*_chi(rest)):
-        for i, sign in table[j] or _strip_row(m, k, j):
-            column[i] += sign * value
+    column = [0] * len(generate_partitions(sum(mu)))
+    _add_strip_layer(zip(*_chi(mu[1:])), sum(mu[1:]), mu[0], column)
     nonzero = [i for i, value in enumerate(column) if value]
     return tuple(nonzero), tuple(column[i] for i in nonzero)
 
@@ -354,16 +363,11 @@ def powersum_to_schur(f: PowerSumExpansion) -> SchurExpansion:
         else:
             totals[0] = coeff
     for r, rests in groups.items():
-        m = n - r
-        table = _strip_table(m, r)
-        inner = [0] * len(table)
+        inner = [0] * len(_strip_table(n - r, r))
         for rest, coeff in rests.items():
             for j, ch in zip(*_chi(rest)):
                 inner[j] += coeff * ch
-        for j, value in enumerate(inner):
-            if value:
-                for i, sign in table[j] or _strip_row(m, r, j):
-                    totals[i] += sign * value
+        _add_strip_layer(enumerate(inner), n - r, r, totals)
     out: dict[Partition, int] = {}
     for lam, total in zip(generate_partitions(n), totals):
         if total:

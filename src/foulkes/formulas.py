@@ -206,36 +206,26 @@ def phi_hook_depth1_closed(n: int) -> SchurExpansion:
 def _addable_pairs(t: Partition) -> set[Partition]:
     """Partitions obtained from t by adding two cells in distinct
     columns, skipping pairs that sit at the two ends of one leading
-    diagonal hook of t (one extending the arm, the other the leg)."""
-    rows = len(t)
-    conj = conjugate(t)
-    diag = sum(1 for i in range(rows) if t[i] > i)
-    forbidden = {frozenset(((i, t[i]), (conj[i], i))) for i in range(diag)}
+    diagonal hook of t (one extending the arm, the other the leg).
 
-    def length(r: int) -> int:
-        return t[r] if r < rows else 0
+    One add-a-cell step applied twice reaches every such pair: added
+    upper cell first, a pair passes through a partition."""
+    conj = conjugate(t)
+    hook_ends = {
+        frozenset(((i, t[i]), (conj[i], i))) for i in range(len(t)) if t[i] > i
+    }
+
+    def add_cell(shape: Partition):
+        # every shape plus one cell, with that cell's (row, column)
+        for r, c in enumerate(shape + (0,)):
+            if r == 0 or shape[r - 1] > c:
+                yield shape[:r] + (c + 1,) + shape[r + 1 :], (r, c)
 
     out: set[Partition] = set()
-    # both cells in one row
-    for r in range(rows + 1):
-        new = [length(q) for q in range(max(rows, r + 1))]
-        new[r] += 2
-        if all(new[i] >= new[i + 1] for i in range(len(new) - 1)):
-            out.add(tuple(v for v in new if v))
-    # cells in two different rows
-    for r in range(rows + 1):
-        for s in range(r + 1, rows + 2):
-            cell_a = (r, length(r))
-            cell_b = (s, length(s))
-            if cell_a[1] == cell_b[1]:
-                continue
-            if frozenset((cell_a, cell_b)) in forbidden:
-                continue
-            new = [length(q) for q in range(max(rows, s + 1))]
-            new[r] += 1
-            new[s] += 1
-            if all(new[i] >= new[i + 1] for i in range(len(new) - 1)):
-                out.add(tuple(v for v in new if v))
+    for once, first in add_cell(t):
+        for twice, second in add_cell(once):
+            if first[1] != second[1] and frozenset((first, second)) not in hook_ends:
+                out.add(twice)
     return out
 
 

@@ -78,13 +78,15 @@ def lr_coefficient(
     grid: dict[tuple[int, int], int] = {}
 
     def bounds(idx: int) -> tuple[int, int]:
-        # entries weakly increase to the right, strictly down a column
+        # entries weakly increase to the right, strictly down a column,
+        # and a lattice word's letter at position idx is at most idx + 1
+        # (one more than the letters before it), so no cell scans past it
         r, c = cells[idx]
         right = grid.get((r, c + 1))
         above = grid.get((r - 1, c)) if r else None
         return (
             above + 1 if above is not None else 1,
-            right if right is not None else k,
+            min(right if right is not None else k, idx + 1),
         )
 
     # Depth-first over the cells with an explicit stack: next_entry[idx]

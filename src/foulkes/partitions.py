@@ -25,9 +25,10 @@ Partition = tuple[int, ...]
 
 # Largest partition size parse_partition builds. Every route stops far
 # below it (the oracle cap, the formulas' running time), except lr on
-# one-row shapes, which is linear in the size (0.5 s at 10^6 on a 2-core
-# VM, Python 3.11.7). It bounds the parsed list at 10^6 parts, about
-# 8 MB, before an exponent token like '2^999999999' is expanded.
+# one-row and one-column shapes, which is linear in the size (1.5 s and
+# 3.0 s for lr_coefficient at 10^6 on a 2-core VM, Python 3.11.7). It
+# bounds the parsed list at 10^6 parts, about 8 MB, before an exponent
+# token like '2^999999999' is expanded.
 _MAX_PARSED_SIZE = 10**6
 
 
@@ -53,23 +54,18 @@ def as_partition(parts: Iterable[int]) -> Partition:
 
 
 @cache
-def _bounded(n: int, cap: int) -> tuple[Partition, ...]:
+def _bounded(n: int, cap: int, gap: int) -> tuple[Partition, ...]:
+    """The partitions of n with every part at most cap, reverse-lex.
+
+    Each part is at least gap more than the part after it: gap 0 gives
+    every partition, gap 1 those with distinct parts. One memo holds
+    both kinds, keyed on (n, cap, gap).
+    """
     if n == 0:
         return ((),)
     out = []
     for first in range(min(n, cap), 0, -1):
-        for rest in _bounded(n - first, first):
-            out.append((first,) + rest)
-    return tuple(out)
-
-
-@cache
-def _bounded_distinct(n: int, cap: int) -> tuple[Partition, ...]:
-    if n == 0:
-        return ((),)
-    out = []
-    for first in range(min(n, cap), 0, -1):
-        for rest in _bounded_distinct(n - first, first - 1):
+        for rest in _bounded(n - first, first - gap, gap):
             out.append((first,) + rest)
     return tuple(out)
 
@@ -82,14 +78,14 @@ def generate_partitions(n: int) -> tuple[Partition, ...]:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return _bounded(n, n)
+    return _bounded(n, n, 0)
 
 
 def generate_distinct_partitions(n: int) -> tuple[Partition, ...]:
     """All partitions of n with pairwise distinct parts, reverse-lex order."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return _bounded_distinct(n, n)
+    return _bounded(n, n, 1)
 
 
 def double(alpha: Iterable[int]) -> Partition:

@@ -460,9 +460,19 @@ class TestAddStrips:
                 assert table == [None] * len(shapes)
                 order = list(range(len(shapes)))
                 rng.shuffle(order)
+                column = [0] * len(generate_partitions(m + k))
+                # a zero entry adds nothing and leaves its row unfilled
+                expansions._add_strip_layer([(order[0], 0)], m, k, column)
+                assert table[order[0]] is None and not any(column)
                 for j in order:
-                    expansions._strip_row(m, k, j)
-                assert table == [_sorted_bead_strips(rho, k) for rho in shapes], (m, k)
+                    expansions._add_strip_layer([(j, 1)], m, k, column)
+                want = [_sorted_bead_strips(rho, k) for rho in shapes]
+                assert table == want, (m, k)
+                expected = [0] * len(column)
+                for row in want:
+                    for i, sign in row:
+                        expected[i] += sign
+                assert column == expected, (m, k)
 
     def test_examples(self):
         # (2, 1) plus a 3-cell strip; (2, 2, 2) moves the bead of the

@@ -194,6 +194,30 @@ class TestClosedCorollaries:
     def test_single_double_column_matches(self, n):
         assert phi_two_one_column_closed(n) == phi_two_column(n, 1)
 
+    @pytest.mark.parametrize("size", range(11))
+    def test_addable_pairs_definition(self, size):
+        # every t, not only the double hooks phi_two_one_column_closed
+        # passes: the lam of |t| + 2 containing t whose two new cells
+        # lie in distinct columns and are not the cells just past the
+        # arm and the leg of one leading diagonal hook of t
+        for t in generate_partitions(size):
+            heights = [sum(1 for part in t if part > i) for i in range(len(t))]
+            hook_ends = [
+                {(i, t[i]), (heights[i], i)} for i in range(len(t)) if t[i] > i
+            ]
+            want = set()
+            for lam in generate_partitions(size + 2):
+                padded = t + (0,) * (len(lam) - len(t))
+                if len(padded) > len(lam) or any(p < q for p, q in zip(lam, padded)):
+                    continue
+                cells = {
+                    (r, c) for r, part in enumerate(lam) for c in range(padded[r], part)
+                }
+                (_, c1), (_, c2) = cells
+                if c1 != c2 and cells not in hook_ends:
+                    want.add(lam)
+            assert formulas._addable_pairs(t) == want, t
+
     def test_small_shapes_rejected(self):
         with pytest.raises(InvalidShapeError):
             phi_hook_depth1_closed(1)

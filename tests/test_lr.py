@@ -9,6 +9,7 @@ definition, so it anchors everything else.
 
 import itertools
 import math
+import time
 import tracemalloc
 from collections import Counter
 
@@ -609,3 +610,11 @@ class TestCoefficientEdgeCases:
         # 1500 cells to fill, more than the default recursion limit
         assert lr_coefficient((3000,), (1500,), (1500,)) == 1
         assert lr_coefficient((1500, 1500), (1500,), (1500,)) == 1
+
+    def test_long_column_in_linear_time(self):
+        # a lattice word's letter at position idx is at most idx + 1; a
+        # cell that tried every entry up to len(nu) would scan O(len(nu))
+        # entries at each backtrack step, quadratic on one column
+        start = time.perf_counter()
+        assert lr_coefficient((1,) * 40000, (1,) * 20000, (1,) * 20000) == 1
+        assert time.perf_counter() - start < 5
