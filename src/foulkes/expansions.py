@@ -36,6 +36,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 from .errors import DegreeMismatchError, NonIntegerCoefficientError
 from .partitions import (
     Partition,
+    _clip_parts,
     _conjugate,
     as_partition,
     centralizer_order,
@@ -83,7 +84,7 @@ class _Expansion:
         self._terms = {lam: c for lam, c in data.items() if c}
         sizes = {sum(lam) for lam in self._terms}
         if len(sizes) > 1:
-            raise DegreeMismatchError(f"mixed index partition sizes {sorted(sizes)}")
+            raise DegreeMismatchError(f"mixed degrees {_clip_parts(sorted(sizes))}")
 
     @classmethod
     def _trusted(cls, terms: dict[Partition, object]):
@@ -300,7 +301,7 @@ def mn_character(lam: Iterable[int], mu: Iterable[int]) -> int:
     mu = as_partition(mu)
     n = sum(lam)
     if n != sum(mu):
-        raise DegreeMismatchError(f"|{lam}| != |{mu}|")
+        raise DegreeMismatchError(f"|{_clip_parts(lam)}| != |{_clip_parts(mu)}|")
     return _chi_at(mu, _position(n)[lam])
 
 

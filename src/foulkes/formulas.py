@@ -44,14 +44,14 @@ from .expansions import SchurExpansion, omega_schur
 from .lr import schur_multiply
 from .partitions import (
     Partition,
+    _clip_parts,
+    _conjugate,
     as_partition,
-    conjugate,
     count_even_shifts,
     distinct_part_count,
     double,
     double_hook,
     drop_count,
-    format_partition,
     generate_distinct_partitions,
     generate_partitions,
     repeated_part_count,
@@ -210,7 +210,7 @@ def _addable_pairs(t: Partition) -> set[Partition]:
 
     One add-a-cell step applied twice reaches every such pair: added
     upper cell first, a pair passes through a partition."""
-    conj = conjugate(t)
+    conj = _conjugate(t)
     hook_ends = {
         frozenset(((i, t[i]), (conj[i], i))) for i in range(len(t)) if t[i] > i
     }
@@ -379,7 +379,7 @@ def _closed_formula(nu: Partition, method: str) -> tuple[SchurExpansion, str]:
         if nu[0] == 1:
             return phi_one_column(n), "one-column"
         raise UnsupportedShapeError(
-            f"base form needs a single row or column, got {format_partition(nu)}"
+            f"base form needs a single row or column, got {_clip_parts(nu)}"
         )
     if method == "auto":
         for method, (covers, _) in _SHAPE_RULES.items():
@@ -387,13 +387,13 @@ def _closed_formula(nu: Partition, method: str) -> tuple[SchurExpansion, str]:
                 break
         else:
             raise UnsupportedShapeError(
-                f"{format_partition(nu)} has more than two rows, more than two "
+                f"{_clip_parts(nu)} has more than two rows, more than two "
                 "columns, and is not a hook"
             )
     else:
         covers, fault = _SHAPE_RULES[method]
         if not covers(nu):
-            raise UnsupportedShapeError(f"{format_partition(nu)} {fault}")
+            raise UnsupportedShapeError(f"{_clip_parts(nu)} {fault}")
     if method == "two-row":
         return phi_two_row(n, nu[1] if len(nu) == 2 else 0), method
     if method == "two-column":

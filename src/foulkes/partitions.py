@@ -12,7 +12,7 @@ import math
 import operator
 from collections import Counter
 from functools import cache
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .errors import (
     EmptyIncludeSetError,
@@ -35,21 +35,20 @@ _MAX_PARSED_SIZE = 10**6
 def as_partition(parts: Iterable[int]) -> Partition:
     """Validate *parts* and return it as a canonical partition tuple.
 
-    Raises ValueError unless the parts are positive integers in weakly
-    decreasing order. A part must be an integer type (anything
-    operator.index accepts): floats and strings are rejected, not
-    truncated or parsed.
+    Raises ValueError unless the parts are integers, every one positive
+    and each at most the one before it, with one message that echoes
+    the parts as _clip_parts shows them. A part must be an integer type
+    (anything operator.index accepts): floats and strings are rejected,
+    not truncated or parsed.
     """
     items = iter(parts)  # a non-iterable is still a TypeError
     try:
         lam = tuple(map(operator.index, items))
     except TypeError as exc:
         raise ValueError(f"partition parts must be integers: {exc}") from None
-    for i, p in enumerate(lam):
-        if p < 1:
-            raise ValueError(f"partition parts must be positive, got {p}")
-        if i and lam[i - 1] < p:
-            raise ValueError(f"partition parts must be weakly decreasing, got {lam}")
+    if lam and (lam[-1] < 1 or any(map(operator.lt, lam, lam[1:]))):
+        shown = _clip_parts(lam)
+        raise ValueError(f"parts must be positive and weakly decreasing, got {shown}")
     return lam
 
 
@@ -106,7 +105,7 @@ def double_hook(alpha: Iterable[int]) -> Partition:
     """
     a = as_partition(alpha)
     if len(set(a)) != len(a):
-        raise RepeatedPartsError(f"parts must be distinct, got {a}")
+        raise RepeatedPartsError(f"parts must be distinct, got {_clip_parts(a)}")
     k = len(a)
     if k == 0:
         return ()
@@ -198,7 +197,7 @@ def irreducible_dimension(lam: Iterable[int]) -> int:
     """Number of standard Young tableaux of shape lam (hook length formula)."""
     lam = as_partition(lam)
     n = sum(lam)
-    conj = conjugate(lam)
+    conj = _conjugate(lam)
     denom = 1
     for i, row in enumerate(lam):
         for j in range(row):
@@ -251,11 +250,18 @@ def _clip(text: str) -> str:
 
 
 def _clip_int(n: int) -> str:
-    """_clip of the decimal digits of n >= 0, however many there are."""
+    """_clip of the decimal digits of n, and its sign, however many
+    digits there are."""
     # n has more than cut + 40 digits, so dropping cut of them keeps the
     # first 40 and the '...'
     cut = int(n.bit_length() * math.log10(2)) - 45
-    return _clip(str(n // 10**cut if cut > 0 else n))
+    return _clip("-" * (n < 0) + str(abs(n) // 10**cut if cut > 0 else abs(n)))
+
+
+def _clip_parts(parts: Sequence[int]) -> str:
+    """parts as an error line echoes a partition: format_partition's
+    syntax from at most the first 40 parts, clipped like a token."""
+    return _clip(",".join(map(_clip_int, parts[:40])) or "-")
 
 
 def parse_partition(text: str) -> Partition:
@@ -265,8 +271,10 @@ def parse_partition(text: str) -> Partition:
     decreasing order, for example '6,4,4,1,1'. An exponent token like
     '4^2' repeats a part.
     The empty string and '-' both denote the empty partition. Raises
-    PartitionParseError on anything else, and ResourceBoundError when
-    the size is above _MAX_PARSED_SIZE, before any part is repeated.
+    PartitionParseError on anything else, naming the first bad token,
+    and ResourceBoundError when the size is above _MAX_PARSED_SIZE.
+    Both checks read the tokens as written, before any part is
+    repeated; the tuple is built once, and as_partition is not called.
     """
     s = text.strip()
     if s in ("", "-"):
@@ -283,6 +291,9 @@ def parse_partition(text: str) -> Partition:
         except ValueError:
             bad = f"bad partition token {_clip(token)!r}"
             raise PartitionParseError(bad) from None
+        if runs and value > runs[-1][0]:
+            bad = f"bad partition token {_clip(token)!r}: exceeds the part before it"
+            raise PartitionParseError(bad)
         runs.append((value, count))
     size = sum(value * count for value, count in runs)
     if size > _MAX_PARSED_SIZE:
@@ -290,11 +301,7 @@ def parse_partition(text: str) -> Partition:
             f"partition size {_clip_int(size)} exceeds the parse limit "
             f"{_MAX_PARSED_SIZE}"
         )
-    parts = [value for value, count in runs for _ in range(count)]
-    try:
-        return as_partition(parts)
-    except ValueError as exc:
-        raise PartitionParseError(str(exc)) from None
+    return tuple(value for value, count in runs for _ in range(count))
 
 
 def format_partition(lam: Iterable[int]) -> str:

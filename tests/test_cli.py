@@ -166,6 +166,29 @@ class TestOversizedPartition:
         assert err == "error: partition size 1999999998 exceeds the parse limit 1000000\n"
 
 
+# Partitions inside the parse limit but far longer than any token the
+# fuzz test below builds: each error echoes at most the first 40
+# characters of the partition or token it names.
+class TestLongPartitionErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("decompose", "3,2^400000"),
+            ("decompose", "3,2^400000", "--method", "two-row"),
+            ("decompose", "3,2^400000", "--method", "base"),
+            ("decompose", "1^400000,2"),
+            ("oracle", "1^400000,2"),
+            ("compare", "1^400000,2"),
+            ("lr", "1^500000,2", "1", "1"),
+        ],
+    )
+    def test_exits_2_with_a_short_line(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.endswith("\n") and len(err.encode()) < 200, len(err)
+
+
 # int() refuses more than 4300 digits by default; every entry point
 # reads a digit string of any length the same way
 LONG_DIGITS = [4000, 5000, 20000]
@@ -600,5 +623,6 @@ class TestArgvFuzz:
         assert code in (0, 1, 2, 3), (argv, code)
         text = err.getvalue()
         assert text == "" or (text.count("\n") == 1 and text.endswith("\n")), text
+        assert len(text) < 200, text
         assert "Traceback" not in text
         assert bool(text) == (code in (2, 3)), (argv, code, text)

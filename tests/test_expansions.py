@@ -10,7 +10,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from foulkes import expansions
-from foulkes.errors import DegreeMismatchError, NonIntegerCoefficientError
+from foulkes.errors import (
+    DegreeMismatchError,
+    NonIntegerCoefficientError,
+    UnsupportedShapeError,
+)
 from foulkes.expansions import (
     PowerSumExpansion,
     SchurExpansion,
@@ -112,6 +116,14 @@ class TestSchurExpansion:
     def test_rejects_mixed_degree(self):
         with pytest.raises(DegreeMismatchError):
             SchurExpansion({(2,): 1, (3,): 1})
+
+    def test_mixed_degree_message_is_short(self):
+        # a few thousand distinct sizes, each echoed in full before
+        terms = {(k,): 1 for k in range(1, 3001)}
+        with pytest.raises(DegreeMismatchError) as info:
+            SchurExpansion(terms)
+        shown = ",".join(map(str, range(1, 3001)))[:40] + "..."
+        assert str(info.value) == f"mixed degrees {shown}"
 
     def test_rejects_non_integer(self):
         with pytest.raises(TypeError):
@@ -428,8 +440,9 @@ class TestMnCharacter:
             assert got == [removal_character(lam, mu) for lam in parts], mu
 
     def test_size_mismatch(self):
-        with pytest.raises(DegreeMismatchError):
+        with pytest.raises(DegreeMismatchError) as info:
             mn_character((2, 1), (2, 2))
+        assert str(info.value) == "|2,1| != |2,2|"
 
     @pytest.mark.parametrize("mu", [(20,), (10, 10), (5, 5, 5, 5)])
     def test_sparse_column(self, mu):
@@ -441,6 +454,49 @@ class TestMnCharacter:
         assert got == [removal_character(lam, mu) for lam in parts]
         assert mn_character((18, 1, 1), (20,)) == 1
         assert mn_character((10, 10), (20,)) == 0
+
+
+# Each error echoes at most the first 40 characters of a partition.
+ONES = "1," * 20 + "..."
+THREE_TWOS = "3," + "2," * 19 + "..."
+
+
+class TestLongPartitionMessages:
+    @pytest.mark.parametrize(
+        "call, error, message",
+        [
+            (
+                lambda: mn_character((1,) * 10**5, (2,)),
+                DegreeMismatchError,
+                f"|{ONES}| != |2|",
+            ),
+            (
+                lambda: mn_character((), (1,) * 10**5),
+                DegreeMismatchError,
+                f"|-| != |{ONES}|",
+            ),
+            (
+                lambda: decompose((3,) + (2,) * 10**5, method="base"),
+                UnsupportedShapeError,
+                f"base form needs a single row or column, got {THREE_TWOS}",
+            ),
+            (
+                lambda: decompose((3,) + (2,) * 10**5),
+                UnsupportedShapeError,
+                f"{THREE_TWOS} has more than two rows, more than two columns, "
+                "and is not a hook",
+            ),
+            (
+                lambda: decompose((3,) + (2,) * 10**5, method="two-row"),
+                UnsupportedShapeError,
+                f"{THREE_TWOS} has more than two rows",
+            ),
+        ],
+    )
+    def test_message_is_short(self, call, error, message):
+        with pytest.raises(error) as info:
+            call()
+        assert str(info.value) == message and len(message) < 200
 
 
 class TestAddStrips:

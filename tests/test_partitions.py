@@ -19,6 +19,7 @@ from foulkes.errors import (
     RepeatedPartsError,
     ResourceBoundError,
 )
+from foulkes import partitions
 from foulkes.partitions import (
     _MAX_PARSED_SIZE,
     _clip_int,
@@ -360,6 +361,44 @@ class TestParsing:
     def test_clipped_numbers_keep_their_first_digits(self, digits):
         shown = digits if len(digits) <= 40 else digits[:40] + "..."
         assert _clip_int(_parse_digits(digits)) == shown
+        signed = "-" + digits
+        shown = signed if len(signed) <= 40 else signed[:40] + "..."
+        if digits != "0":
+            assert _clip_int(-_parse_digits(digits)) == shown
+
+    def test_order_checked_on_the_tokens(self, monkeypatch):
+        # the order check reads the tokens as written: it neither
+        # expands a repeat first nor hands the parts to as_partition
+        def refuse(parts):
+            raise AssertionError("parse_partition called as_partition")
+
+        monkeypatch.setattr(partitions, "as_partition", refuse)
+        assert parse_partition("3,2^2,1") == (3, 2, 2, 1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(PartitionParseError) as exc:
+                parse_partition("1^999998,2")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(exc.value) == "bad partition token '2': exceeds the part before it"
+        assert peak < 2**20
+
+    @pytest.mark.parametrize(
+        "text, token",
+        [
+            ("1,2", "2"),
+            ("3,1,2,5", "2"),
+            ("2^3, 3^2", "3^2"),
+            (f"1,{'0' * 60}2", "0" * 40 + "..."),
+        ],
+    )
+    def test_order_error_names_the_first_token_out_of_order(self, text, token):
+        with pytest.raises(PartitionParseError) as exc:
+            parse_partition(text)
+        assert str(exc.value) == (
+            f"bad partition token {token!r}: exceeds the part before it"
+        )
 
     def test_size_limit_is_inclusive(self):
         half = _MAX_PARSED_SIZE // 2
@@ -377,12 +416,47 @@ class TestParsing:
 
 class TestValidation:
     def test_as_partition_rejects(self):
-        with pytest.raises(ValueError):
-            as_partition((1, 2))
-        with pytest.raises(ValueError):
-            as_partition((2, 0))
+        # one check, and one message, for a part below 1 and for a rise
+        cases = [((0,), "0"), ((2, 0), "2,0"), ((1, 2), "1,2"), ((3, -1), "3,-1")]
+        for parts, shown in cases:
+            with pytest.raises(ValueError) as exc:
+                as_partition(parts)
+            assert str(exc.value) == (
+                f"parts must be positive and weakly decreasing, got {shown}"
+            )
 
-    @pytest.mark.parametrize("parts", [(2.5, 1.9), (2.0,), "321", ("3", "1")])
+    @pytest.mark.parametrize(
+        "call, error, message",
+        [
+            (
+                lambda: as_partition((1,) * 10**6 + (2,)),
+                ValueError,
+                "parts must be positive and weakly decreasing, got "
+                + "1," * 20
+                + "...",
+            ),
+            (
+                # str() refuses ints of more than 4300 digits by default
+                lambda: as_partition((5, -(10**5000))),
+                ValueError,
+                "parts must be positive and weakly decreasing, got 5,-1"
+                + "0" * 36
+                + "...",
+            ),
+            (
+                lambda: double_hook((1,) * 10**5),
+                RepeatedPartsError,
+                "parts must be distinct, got " + "1," * 20 + "...",
+            ),
+        ],
+    )
+    def test_long_input_gets_a_short_message(self, call, error, message):
+        with pytest.raises(error) as exc:
+            call()
+        assert type(exc.value) is error
+        assert str(exc.value) == message and len(message) < 200
+
+    @pytest.mark.parametrize("parts", [(2.5, 1.9), (2.0,), "321", ("3", "1"), (2.5,)])
     def test_as_partition_rejects_non_integer_parts(self, parts):
         # parts were once truncated or parsed by int(): (2.5, 1.9) gave
         # (2, 1) and "321" gave (3, 2, 1)
