@@ -78,7 +78,7 @@ def clear_caches() -> None:
     """Empty every functools.cache memo of the package's loaded modules.
 
     That is the partition lists, the character columns, the border
-    strip tables, the power-sum expansions of s_nu, the
+    strip tables, the integer power sums of s_nu, the
     Littlewood-Richardson products and the shared copies of their
     shapes, the one-row and one-column bases, their factor products
     and the alternating sums over them, the oracle results, the

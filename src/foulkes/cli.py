@@ -4,8 +4,8 @@ Subcommands: decompose (closed formulas), oracle (brute force),
 compare (both, with a diff), table (classification table for the
 depth-two shapes), lr (a single Littlewood-Richardson coefficient).
 Each subcommand returns a JSON payload or its text or CSV lines, and
-main prints them; decompose and oracle return their JSON as one line
-they write themselves. Output is deterministic: identical invocations
+main prints them, a payload through _json; decompose and oracle return
+their JSON as one line they write themselves. Neither loads json. Output is deterministic: identical invocations
 print identical bytes. Timings, when requested, go to stderr.
 """
 
@@ -16,7 +16,7 @@ import os
 import sys
 import time
 from functools import cache
-from typing import NoReturn, Sequence
+from typing import Iterable, NoReturn, Sequence
 
 from .errors import FoulkesError, PartitionParseError, ResourceBoundError
 from .expansions import SchurExpansion, total_dimension
@@ -82,14 +82,32 @@ def _terms_payload(exp: SchurExpansion) -> list[dict]:
     return [{"lambda": list(lam), "mult": mult} for lam, mult in exp.items()]
 
 
-def _json_ints(parts: Sequence[int]) -> str:
-    return "[" + ", ".join(map(str, parts)) + "]"
+def _json_list(items: Iterable) -> str:
+    """A JSON array of ints, or of items already written as JSON: the
+    str() of either is its JSON text."""
+    return "[" + ", ".join(map(str, items)) + "]"
+
+
+def _json(value) -> str:
+    """json.dumps(value) with the default separators, byte for byte, for
+    the values a payload holds: dicts with str keys, lists, bools, ints
+    and the fixed ASCII names (inners, methods, table kinds and row
+    classes), which json.dumps writes as plain quoted text."""
+    if isinstance(value, dict):
+        return "{" + ", ".join([f'"{k}": {_json(v)}' for k, v in value.items()]) + "}"
+    if isinstance(value, list):
+        return _json_list(map(_json, value))
+    if isinstance(value, str):
+        return f'"{value}"'
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return str(value)
 
 
 @cache
 def _json_term_head(lam: Partition) -> str:
     """The opening text of lam's JSON term, up to its multiplicity."""
-    return '{"lambda": ' + _json_ints(lam) + ', "mult": '
+    return '{"lambda": ' + _json_list(lam) + ', "mult": '
 
 
 def _expansion_output(
@@ -108,7 +126,7 @@ def _expansion_output(
         body = "}, ".join([_json_term_head(lam) + str(m) for lam, m in exp.items()])
         terms = f"[{body}}}]" if body else "[]"
         return [
-            f'{{"nu": {_json_ints(nu)}, "inner": "{inner}", '
+            f'{{"nu": {_json_list(nu)}, "inner": "{inner}", '
             f'"terms": {terms}, "method": "{method}"}}'
         ]
     if fmt == "csv":
@@ -319,12 +337,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         # message is fixed so that it stays one line.
         print(f"error: out of resources ({type(exc).__name__})", file=sys.stderr)
         return 3
-    if isinstance(output, dict):
-        import json  # only JSON output needs it; keeps start-up short
-
-        text = json.dumps(output)
-    else:
-        text = "\n".join(output)
+    text = _json(output) if isinstance(output, dict) else "\n".join(output)
     try:
         sys.stdout.write(text + "\n")
         sys.stdout.flush()

@@ -1,7 +1,8 @@
 """Exact expansions in the Schur and power-sum bases.
 
 SchurExpansion carries integer multiplicities, PowerSumExpansion exact
-rational coefficients (fractions.Fraction). Both are one class body,
+rational coefficients (fractions.Fraction; the oracle also hands
+powersum_to_schur int-valued ones). Both are one class body,
 _Expansion: immutable, homogeneous (every index partition has one
 common size) and free of zero coefficients. The subclasses differ only
 in _coerce, the coefficient rule, plus the power-sum product; results
@@ -11,18 +12,23 @@ Symmetric group character values come from the Murnaghan-Nakayama rule
 run forwards: the column chi^lam_mu over every lam, which is the Schur
 expansion of p_mu, is p_mu[0] times the column of mu[1:], each shape in
 it growing by every mu[0]-cell border strip. That strip step is one
-function, _add_strip_layer, and powersum_to_schur calls it once per
-largest part instead of once per term: it sums the columns of the rests
-of every mu with that largest part and adds the strips to that sum, so
-it never builds a column of the full degree.
+function, _add_strip_layer, which adds or subtracts each value along
+the +1 and the -1 shapes of a strip row, with no multiply.
+powersum_to_schur calls it once per largest part instead of once per
+term: it sums the columns of the rests of every mu with that largest
+part and adds the strips to that sum, so it never builds a column of
+the full degree.
 
-Columns are memoized on the cycle type mu alone, and schur_to_powersum
-on nu. The strips are kept in one table per (m, k), a list indexed by
-the position of the shape in generate_partitions(m), whose rows
-_add_strip_layer fills the first time a column or a sum reaches that
-shape; it reads a row by index, so no shape is hashed per entry. The
-memos are process-global, foulkes.clear_caches() empties them, and a
-concurrent duplicate computation is harmless.
+Columns are memoized on the cycle type mu alone. s_nu in power sums is
+memoized on nu as integers over the common denominator |nu|!
+(_class_sums); schur_to_powersum divides them out into Fractions and
+the oracle uses them as they are. The strips are kept in one table per
+(m, k), a list indexed by the position of the shape in
+generate_partitions(m), whose rows _add_strip_layer fills the first
+time a column or a sum reaches that shape; it reads a row by index, so
+no shape is hashed per entry. The memos are process-global,
+foulkes.clear_caches() empties them, and a concurrent duplicate
+computation is harmless.
 """
 
 from __future__ import annotations
@@ -30,12 +36,13 @@ from __future__ import annotations
 import operator
 from bisect import bisect_left
 from functools import cache
-from math import lcm
+from math import factorial, lcm
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
 from .errors import DegreeMismatchError, NonIntegerCoefficientError
 from .partitions import (
     Partition,
+    _clip_int,
     _clip_parts,
     _conjugate,
     as_partition,
@@ -139,7 +146,9 @@ class _Expansion:
             return NotImplemented
         a, b = self.degree, other.degree
         if a is not None and b is not None and a != b:
-            raise DegreeMismatchError(f"cannot combine degrees {a} and {b}")
+            raise DegreeMismatchError(
+                f"cannot combine degrees {_clip_int(a)} and {_clip_int(b)}"
+            )
         data = dict(self._terms)
         for lam, c in other._terms.items():
             data[lam] = data.get(lam, 0) + sign * c
@@ -181,8 +190,10 @@ class PowerSumExpansion(_Expansion):
     """A finite rational combination of power sums of one degree.
 
     Coefficients and scalars become Fractions, and a float is rejected.
-    Besides the arithmetic, the oracle and schur_to_powersum build
-    theirs through _trusted. Two power-sum expansions multiply as
+    Besides the arithmetic, schur_to_powersum builds its Fraction-valued
+    ones through _trusted, and the oracle int-valued ones that it only
+    passes to powersum_to_schur, which reads any coefficient through its
+    numerator and denominator. Two power-sum expansions multiply as
     p_mu * p_nu = p_(mu union nu); the degrees add.
     """
 
@@ -206,8 +217,13 @@ def _position(n: int) -> dict[Partition, int]:
     return {lam: i for i, lam in enumerate(generate_partitions(n))}
 
 
-def _add_strips(rho: Partition, k: int) -> tuple[tuple[int, int], ...]:
-    """(position, sign) of every shape rho plus a k-cell border strip.
+# The +1 positions, then the -1 positions, of one row of strips.
+_StripRow = tuple[tuple[int, ...], tuple[int, ...]]
+
+
+def _add_strips(rho: Partition, k: int) -> _StripRow:
+    """The shapes rho plus a k-cell border strip, as two tuples of
+    positions: those of sign +1, then those of sign -1.
 
     On beta numbers (here rho[j] - j, strictly decreasing, over rho
     padded with k zeros) a strip added is a bead moved up by k onto a
@@ -220,7 +236,7 @@ def _add_strips(rho: Partition, k: int) -> tuple[tuple[int, int], ...]:
     padded = rho + (0,) * k
     beads = [part - j for j, part in enumerate(padded)]
     position = _position(sum(rho) + k)
-    out = []
+    rows: tuple[list[int], list[int]] = ([], [])
     for idx, bead in enumerate(beads):
         top = bead + k
         t = idx
@@ -234,12 +250,12 @@ def _add_strips(rho: Partition, k: int) -> tuple[tuple[int, int], ...]:
             + tuple(part + 1 for part in padded[t:idx])
             + rho[idx + 1 :]
         )
-        out.append((position[lam], -1 if (idx - t) % 2 else 1))
-    return tuple(out)
+        rows[(idx - t) % 2].append(position[lam])
+    return tuple(rows[0]), tuple(rows[1])
 
 
 @cache
-def _strip_table(m: int, k: int) -> list[tuple[tuple[int, int], ...] | None]:
+def _strip_table(m: int, k: int) -> list[_StripRow | None]:
     """Row j holds _add_strips(generate_partitions(m)[j], k), or None
     until _add_strip_layer first reaches shape j. Rows fill lazily: a
     full table of every shape would enumerate strips no column ever
@@ -250,10 +266,11 @@ def _strip_table(m: int, k: int) -> list[tuple[tuple[int, int], ...] | None]:
 def _add_strip_layer(
     column: Iterable[tuple[int, int]], m: int, k: int, out: list[int]
 ) -> None:
-    """The strip step shared by _chi and powersum_to_schur: add
-    value * sign into out[i] for every non-zero (j, value) of column,
-    a position j in generate_partitions(m), and every (i, sign) of
-    _add_strips(generate_partitions(m)[j], k), filling that row of
+    """The strip step shared by _chi and powersum_to_schur: for every
+    non-zero (j, value) of column, a position j in
+    generate_partitions(m), add value into out[i] for every i of the
+    plus row of _add_strips(generate_partitions(m)[j], k) and subtract
+    it for every i of the minus row, filling that row of
     _strip_table(m, k) the first time it is met."""
     table = _strip_table(m, k)
     for j, value in column:
@@ -261,8 +278,11 @@ def _add_strip_layer(
             row = table[j]
             if row is None:
                 row = table[j] = _add_strips(generate_partitions(m)[j], k)
-            for i, sign in row:
-                out[i] += sign * value
+            plus, minus = row
+            for i in plus:
+                out[i] += value
+            for i in minus:
+                out[i] -= value
 
 
 @cache
@@ -311,27 +331,56 @@ def schur_to_powersum(nu: Iterable[int]) -> PowerSumExpansion:
     The coefficient of p_mu is chi^nu_mu divided by the centralizer
     order of mu. The first call for a size n computes the character
     column of every cycle type of n, which enumerates the partitions
-    of n. Results are memoized per nu, so the s2 and e2 oracles of one
-    nu share one.
+    of n. The integer numerators are memoized per nu (_class_sums), so
+    the s2 and e2 oracles of one nu share them.
 
     >>> schur_to_powersum((2, 1))
     PowerSumExpansion({(3,): -1/3, (1, 1, 1): 1/3})
     """
-    return _schur_to_powersum(as_partition(nu))
+    from fractions import Fraction
+
+    nu = as_partition(nu)
+    denom = factorial(sum(nu))
+    return PowerSumExpansion._trusted(
+        {mu: Fraction(c, denom) for mu, c in _class_sums(nu)}
+    )
 
 
 @cache
-def _schur_to_powersum(nu: Partition) -> PowerSumExpansion:
-    from fractions import Fraction
-
+def _class_sums(nu: Partition) -> tuple[tuple[Partition, int], ...]:
+    """s_nu in power sums over the common denominator |nu|!: every mu
+    with chi^nu_mu != 0 and its numerator chi^nu_mu * |nu|! / z_mu, the
+    character value times the size of the class mu."""
     n = sum(nu)
     i = _position(n)[nu]
-    data = {}
+    denom = factorial(n)
+    out = []
     for mu in generate_partitions(n):
         ch = _chi_at(mu, i)
         if ch:
-            data[mu] = Fraction(ch, centralizer_order(mu))
-    return PowerSumExpansion._trusted(data)
+            out.append((mu, ch * (denom // centralizer_order(mu))))
+    return tuple(out)
+
+
+def _divide_exactly(
+    totals: Iterable[tuple[Partition, int]], denom: int
+) -> SchurExpansion:
+    """The Schur expansion with coefficient total / denom for every
+    (lam, total) in totals. Raises NonIntegerCoefficientError at the
+    first lam, in the order of totals, whose division leaves a
+    remainder."""
+    out: dict[Partition, int] = {}
+    for lam, total in totals:
+        if total:
+            quotient, remainder = divmod(total, denom)
+            if remainder:
+                from fractions import Fraction
+
+                raise NonIntegerCoefficientError(
+                    f"coefficient of s_{lam} is {Fraction(total, denom)}"
+                )
+            out[lam] = quotient
+    return SchurExpansion._trusted(out)
 
 
 def powersum_to_schur(f: PowerSumExpansion) -> SchurExpansion:
@@ -340,6 +389,7 @@ def powersum_to_schur(f: PowerSumExpansion) -> SchurExpansion:
     The coefficient of s_lam is the sum of f(mu) * chi^lam_mu. It is
     computed in integers: every f(mu) is scaled by the lcm D of their
     denominators and one exact division by D ends each integer total.
+    An f whose coefficients are ints, as the oracle passes, has D = 1.
     Since p_mu = p_mu[0] * p_mu[1:], the terms are grouped by their
     largest part r: the scaled columns of their rests mu[1:] (degree
     n - r) are summed first, and every non-zero entry of that sum then
@@ -369,18 +419,7 @@ def powersum_to_schur(f: PowerSumExpansion) -> SchurExpansion:
             for j, ch in zip(*_chi(rest)):
                 inner[j] += coeff * ch
         _add_strip_layer(enumerate(inner), n - r, r, totals)
-    out: dict[Partition, int] = {}
-    for lam, total in zip(generate_partitions(n), totals):
-        if total:
-            quotient, remainder = divmod(total, denom)
-            if remainder:
-                from fractions import Fraction
-
-                raise NonIntegerCoefficientError(
-                    f"coefficient of s_{lam} is {Fraction(total, denom)}"
-                )
-            out[lam] = quotient
-    return SchurExpansion._trusted(out)
+    return _divide_exactly(zip(generate_partitions(n), totals), denom)
 
 
 # Conjugates of the shapes omega_schur has met. It fills lazily: a table

@@ -44,6 +44,7 @@ from .expansions import SchurExpansion, omega_schur
 from .lr import schur_multiply
 from .partitions import (
     Partition,
+    _clip_int,
     _clip_parts,
     _conjugate,
     as_partition,
@@ -138,7 +139,9 @@ def _two_by_two(n: int, r: int, kind: str) -> SchurExpansion:
     if n < 1:
         raise InvalidShapeError("n must be a positive integer")
     if r < 0 or 2 * r > n:
-        raise InvalidShapeError(f"need 0 <= 2r <= n, got n={n}, r={r}")
+        raise InvalidShapeError(
+            f"need 0 <= 2r <= n, got n={_clip_int(n)}, r={_clip_int(r)}"
+        )
     return _signed_sum(((1, n - r, r, kind), (-1, n - r + 1, r - 1, kind)))
 
 
@@ -171,7 +174,9 @@ def phi_hook(n: int, r: int, variant: str = "first") -> SchurExpansion:
     if n < 1:
         raise InvalidShapeError("n must be a positive integer")
     if r < 0 or r > n - 1:
-        raise InvalidShapeError(f"need 0 <= r <= n-1, got n={n}, r={r}")
+        raise InvalidShapeError(
+            f"need 0 <= r <= n-1, got n={_clip_int(n)}, r={_clip_int(r)}"
+        )
     if variant not in ("first", "second"):
         raise ValueError(f"variant must be 'first' or 'second', got {variant!r}")
     if variant == "first":

@@ -3,6 +3,10 @@
 Expands s_nu(s_(2)) and s_nu(s_(1,1)) from first principles: write
 s_nu in the power-sum basis, substitute each p_r by its plethysm with
 the inner function, multiply out, and convert back to the Schur basis.
+All of it runs in integers: s_nu's power sums over |nu|! and the
+brackets (p_r p_r +- p_2r) / 2 over 2^|nu|, so the public
+powersum_to_schur gets |nu|! 2^|nu| times the plethysm with int
+coefficients, and one exact division per s_lam ends it.
 The only shared code with the formula side is the basic partition and
 expansion types; in particular nothing here touches the
 Littlewood-Richardson engine, and the s_(1,1) route is computed
@@ -13,17 +17,18 @@ relation stays testable.
 from __future__ import annotations
 
 from functools import cache
-from math import lcm
+from math import factorial
 from typing import Iterable
 
 from .errors import ResourceBoundError
 from .expansions import (
     PowerSumExpansion,
     SchurExpansion,
+    _class_sums,
+    _divide_exactly,
     powersum_to_schur,
-    schur_to_powersum,
 )
-from .partitions import Partition, as_partition
+from .partitions import Partition, _clip_int, as_partition
 
 # Cap on |nu| for oracle runs. The first call at a size n fills the
 # character columns it needs, those of the power-sum terms of 2n with
@@ -40,11 +45,13 @@ DEFAULT_MAX_WEIGHT = 9
 
 def _check_cap(nu: Partition, max_weight: int | None) -> None:
     if max_weight is not None and max_weight < 0:
-        raise ValueError(f"max_weight must not be negative, got {max_weight}")
+        raise ValueError(
+            f"max_weight must not be negative, got {_clip_int(max_weight)}"
+        )
     cap = DEFAULT_MAX_WEIGHT if max_weight is None else max_weight
     if sum(nu) > cap:
         raise ResourceBoundError(
-            f"|nu| = {sum(nu)} exceeds the oracle cap {cap}; "
+            f"|nu| = {_clip_int(sum(nu))} exceeds the oracle cap {_clip_int(cap)}; "
             "raise max_weight (or FOULKES_MAX_N for the CLI) to override"
         )
 
@@ -67,21 +74,19 @@ def _multiply_out(mu: Partition, sign: int) -> tuple[tuple[Partition, int], ...]
 
 @cache
 def _oracle(nu: Partition, inner: str) -> SchurExpansion:
-    # Each p_r becomes (p_r p_r +- p_2r) / 2: multiply out the integer
-    # brackets and sum the terms as integers over the common
-    # denominator of every coeff / 2^len(mu).
-    from fractions import Fraction
-
+    # s_nu is the sum of c_mu p_mu / n! (_class_sums), and each p_r
+    # becomes (p_r p_r +- p_2r) / 2. Weighting the brackets of mu by
+    # c_mu 2^(n - len(mu)) gives n! 2^n times the plethysm in integer
+    # power sums, whose Schur coefficients are integers too.
     sign = 1 if inner == "s2" else -1
-    terms = schur_to_powersum(nu).items()
-    denom = lcm(*(c.denominator << len(mu) for mu, c in terms))
+    n = sum(nu)
     acc: dict[Partition, int] = {}
-    for mu, c in terms:
-        weight = c.numerator * (denom // (c.denominator << len(mu)))
+    for mu, c in _class_sums(nu):
+        weight = c << (n - len(mu))
         for key, m in _multiply_out(mu, sign):
             acc[key] = acc.get(key, 0) + weight * m
-    data = {key: Fraction(v, denom) for key, v in acc.items()}
-    return powersum_to_schur(PowerSumExpansion._trusted(data))
+    scaled = powersum_to_schur(PowerSumExpansion._trusted(acc))
+    return _divide_exactly(scaled._terms.items(), factorial(n) << n)
 
 
 def oracle_plethysm_s2(

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 import foulkes
 from foulkes import cli
 from foulkes.expansions import SchurExpansion
-from foulkes.formulas import METHODS, TABLE_NU_KINDS, decompose
+from foulkes.formulas import METHODS, TABLE_NU_KINDS, decompose, table_row_class
 from foulkes.oracle import oracle_plethysm_e2, oracle_plethysm_s2
 from foulkes.partitions import generate_partitions, parse_partition
 
@@ -557,6 +557,89 @@ def test_json_output_loads_no_json_module(command):
     line, loaded = proc.stdout.splitlines()
     assert line.startswith('{"nu": [2, 1], ')
     assert loaded == "False"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["oracle", "3,1", "--format", "json"],
+        ["compare", "2,1", "--format", "json"],
+        ["table", "6", "--kind", "n-2,2", "--format", "json"],
+        ["lr", "4,2", "2", "2,2", "--format", "json"],
+    ],
+    ids=" ".join,
+)
+def test_json_commands_load_no_fraction_or_json_module(argv):
+    # the oracle runs in integers and the dict payloads have their own
+    # writer, so no subcommand needs fractions, decimal or json
+    src = str(Path(foulkes.__file__).resolve().parents[1])
+    code = (
+        "import sys, foulkes.cli\n"
+        f"code = foulkes.cli.main({argv!r})\n"
+        "print(code, *sorted({'fractions', 'decimal', 'json'} & set(sys.modules)))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    line, status = proc.stdout.splitlines()
+    assert line.startswith("{")
+    assert status == "0"  # exit code 0 and none of the three modules
+
+
+_ROW_CLASSES = (
+    "all-even",
+    "2-odd-distinct",
+    "2-odd-equal",
+    "4-odd-distinct",
+    "4-odd-one-pair",
+    "4-odd-two-pairs",
+    "other",
+)
+# Every string a JSON payload carries: the inners, the method names
+# (with the oracle's), the table kinds and the table row classes.
+_CLI_NAMES = ("s2", "e2", "oracle") + METHODS + TABLE_NU_KINDS + _ROW_CLASSES
+_PAYLOAD_KEYS = st.sampled_from(
+    ["nu", "inner", "method", "agree", "terms", "lambda", "mult", "class", "n", "kind"]
+)
+_PAYLOADS = st.recursive(
+    st.one_of(st.integers(), st.booleans(), st.sampled_from(_CLI_NAMES)),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4), st.dictionaries(_PAYLOAD_KEYS, inner, max_size=4)
+    ),
+    max_leaves=20,
+)
+
+
+class TestJsonWriter:
+    """compare, table and lr print their dict payloads with cli._json,
+    which must equal json.dumps on every value they can hold (the golden
+    table pins the bytes of those subcommands' JSON outputs)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_PAYLOADS)
+    def test_equals_json_dumps(self, payload):
+        assert cli._json(payload) == json.dumps(payload)
+
+    def test_names_are_plain_ascii(self):
+        assert METHODS == (
+            "auto",
+            "two-row",
+            "two-column",
+            "hook-first",
+            "hook-second",
+            "base",
+        )
+        assert TABLE_NU_KINDS == ("n-2,1,1", "n-2,2")
+        classes = {
+            table_row_class(lam) for n in range(9) for lam in generate_partitions(2 * n)
+        }
+        assert classes == set(_ROW_CLASSES)
+        for name in _CLI_NAMES:
+            assert json.dumps(name) == f'"{name}"' == cli._json(name)
 
 
 class TestClosedPipe:

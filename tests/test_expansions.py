@@ -12,13 +12,16 @@ from hypothesis import given, strategies as st
 from foulkes import expansions
 from foulkes.errors import (
     DegreeMismatchError,
+    InvalidShapeError,
     NonIntegerCoefficientError,
+    ResourceBoundError,
     UnsupportedShapeError,
 )
 from foulkes.expansions import (
     PowerSumExpansion,
     SchurExpansion,
     _add_strips,
+    _class_sums,
     _position,
     mn_character,
     omega_schur,
@@ -26,7 +29,7 @@ from foulkes.expansions import (
     schur_to_powersum,
     total_dimension,
 )
-from foulkes.formulas import decompose
+from foulkes.formulas import decompose, phi_hook, phi_two_column, phi_two_row
 from foulkes.oracle import oracle_plethysm_s2
 from foulkes.partitions import (
     centralizer_order,
@@ -83,7 +86,8 @@ def removal_character(lam, mu):
 
 def _sorted_bead_strips(rho, k):
     """Reference for _add_strips: move each bead up by k, re-sort the
-    whole bead set, and count the beads jumped one by one."""
+    whole bead set, and count the beads jumped one by one. Returns the
+    positions of sign +1, then those of sign -1, as _add_strips does."""
     ell = len(rho) + k
     betas = [part + ell - 1 - i for i, part in enumerate(rho + (0,) * k)]
     bset = set(betas)
@@ -96,8 +100,8 @@ def _sorted_bead_strips(rho, k):
         jumped = sum(1 for c in betas if b < c < top)
         new = sorted((bset - {b}) | {top}, reverse=True)
         lam = tuple(v - (ell - 1 - j) for j, v in enumerate(new) if v > ell - 1 - j)
-        out.append((position[lam], -1 if jumped % 2 else 1))
-    return tuple(out)
+        out.append((position[lam], jumped % 2))
+    return tuple(i for i, odd in out if not odd), tuple(i for i, odd in out if odd)
 
 
 def partitions_of(max_n):
@@ -499,6 +503,54 @@ class TestLongPartitionMessages:
         assert str(info.value) == message and len(message) < 200
 
 
+# 10**5000 as an error line shows it: str() refuses more than 4300 digits
+BIG = "1" + "0" * 39 + "..."
+
+
+class TestHugeIntMessages:
+    @pytest.mark.parametrize(
+        "call, error, message",
+        [
+            (
+                lambda: oracle_plethysm_s2((10**5000,)),
+                ResourceBoundError,
+                f"|nu| = {BIG} exceeds the oracle cap 9; "
+                "raise max_weight (or FOULKES_MAX_N for the CLI) to override",
+            ),
+            (
+                lambda: oracle_plethysm_s2((), max_weight=-(10**5000)),
+                ValueError,
+                "max_weight must not be negative, got -1" + "0" * 38 + "...",
+            ),
+            (
+                lambda: SchurExpansion({(10**5000,): 1}) + SchurExpansion({(1,): 1}),
+                DegreeMismatchError,
+                f"cannot combine degrees {BIG} and 1",
+            ),
+            (
+                lambda: phi_two_row(10**5000, -1),
+                InvalidShapeError,
+                f"need 0 <= 2r <= n, got n={BIG}, r=-1",
+            ),
+            (
+                lambda: phi_two_column(10**5000, 10**5000),
+                InvalidShapeError,
+                f"need 0 <= 2r <= n, got n={BIG}, r={BIG}",
+            ),
+            (
+                lambda: phi_hook(10**5000, -1),
+                InvalidShapeError,
+                f"need 0 <= r <= n-1, got n={BIG}, r=-1",
+            ),
+        ],
+    )
+    def test_message_is_clipped(self, call, error, message):
+        with pytest.raises(error) as info:
+            call()
+        assert type(info.value) is error
+        assert str(info.value) == message and len(message) < 200
+
+
 class TestAddStrips:
     @pytest.mark.parametrize("total", range(1, 15))
     def test_matches_sorted_beads(self, total):
@@ -525,20 +577,24 @@ class TestAddStrips:
                 want = [_sorted_bead_strips(rho, k) for rho in shapes]
                 assert table == want, (m, k)
                 expected = [0] * len(column)
-                for row in want:
-                    for i, sign in row:
-                        expected[i] += sign
+                for plus, minus in want:
+                    for i in plus:
+                        expected[i] += 1
+                    for i in minus:
+                        expected[i] -= 1
                 assert column == expected, (m, k)
 
     def test_examples(self):
         # (2, 1) plus a 3-cell strip; (2, 2, 2) moves the bead of the
         # first empty row above the bead of row 1, which grows by a cell.
         shapes = generate_partitions(6)
-        got = {shapes[i]: sign for i, sign in _add_strips((2, 1), 3)}
-        assert got == {(5, 1): 1, (3, 3): -1, (2, 2, 2): -1, (2, 1, 1, 1, 1): 1}
+        plus, minus = _add_strips((2, 1), 3)
+        assert [shapes[i] for i in plus] == [(5, 1), (2, 1, 1, 1, 1)]
+        assert [shapes[i] for i in minus] == [(3, 3), (2, 2, 2)]
         shapes = generate_partitions(3)
-        got = {shapes[i]: sign for i, sign in _add_strips((), 3)}
-        assert got == {(3,): 1, (2, 1): -1, (1, 1, 1): 1}
+        plus, minus = _add_strips((), 3)
+        assert [shapes[i] for i in plus] == [(3,), (1, 1, 1)]
+        assert [shapes[i] for i in minus] == [(2, 1)]
 
 
 class TestBasisChange:
@@ -615,6 +671,24 @@ class TestIntegerBasisChange:
         got = powersum_to_schur(f)
         assert dict(got.items()) == fraction_dot_products(f)
         assert all(type(c) is int for _, c in got.items())
+
+    @given(integer_powersum_combinations())
+    def test_int_valued_input_matches_fraction_valued(self, combo):
+        # the oracle passes int coefficients, built through _trusted
+        got = powersum_to_schur(PowerSumExpansion._trusted(combo))
+        assert got.items() == powersum_to_schur(PowerSumExpansion(combo)).items()
+        assert all(type(c) is int for _, c in got.items())
+
+    @pytest.mark.parametrize("n", range(0, 8))
+    def test_class_sums_are_schur_over_factorial(self, n):
+        denom = math.factorial(n)
+        for nu in generate_partitions(n):
+            sums = _class_sums(nu)
+            got = powersum_to_schur(PowerSumExpansion._trusted(dict(sums)))
+            assert got == SchurExpansion({nu: denom}), nu
+            assert schur_to_powersum(nu) == PowerSumExpansion(
+                {mu: Fraction(c, denom) for mu, c in sums}
+            )
 
     @given(st.integers(0, 8).flatmap(schur_dicts))
     def test_recovers_integer_combination(self, combo):

@@ -455,7 +455,7 @@ class TestMemos:
         assert lr._shape in memos
         assert expansions._conjugate_memo in memos
         assert expansions._strip_table in memos
-        assert expansions._schur_to_powersum in memos
+        assert expansions._class_sums in memos
         assert foulkes.cli._json_term_head in memos
         assert all(memo.cache_info().currsize for memo in memos)
         clear_caches()

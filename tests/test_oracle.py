@@ -192,6 +192,28 @@ def test_cold_oracle_12_memory():
     assert max_rss_mb < 40, f"{max_rss_mb:.1f} MB"
 
 
+def test_cold_oracle_loads_no_fractions():
+    # the oracle runs in integers end to end: s_nu's power sums over
+    # |nu|!, the brackets and the basis change
+    script = (
+        "import sys\n"
+        "from foulkes.oracle import oracle_plethysm_e2, oracle_plethysm_s2\n"
+        "from foulkes.partitions import generate_partitions\n"
+        "for nu in generate_partitions(8):\n"
+        "    oracle_plethysm_s2(nu), oracle_plethysm_e2(nu)\n"
+        "print(*sorted({'fractions', 'decimal'} & set(sys.modules)))\n"
+    )
+    src = str(Path(foulkes.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", script],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert proc.stdout == "\n"
+
+
 def imported_modules(path: Path) -> set[str]:
     """Every module a source file imports, relative ones without dots."""
     names = set()
