@@ -4,9 +4,9 @@ Subcommands: decompose (closed formulas), oracle (brute force),
 compare (both, with a diff), table (classification table for the
 depth-two shapes), lr (a single Littlewood-Richardson coefficient).
 Each subcommand returns a JSON payload or its text or CSV lines, and
-main prints them, a payload through _json; decompose and oracle return
-their JSON as one line they write themselves. Neither loads json. Output is deterministic: identical invocations
-print identical bytes. Timings, when requested, go to stderr.
+main prints them, a payload through _json, so no subcommand loads
+json. Output is deterministic: identical invocations print identical
+bytes. Timings, when requested, go to stderr.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import os
 import sys
 import time
 from functools import cache
-from typing import Iterable, NoReturn, Sequence
+from typing import NoReturn, Sequence
 
 from .errors import FoulkesError, PartitionParseError, ResourceBoundError
 from .expansions import SchurExpansion, total_dimension
@@ -78,27 +78,29 @@ def _timed(timings: dict[str, float], phase: str, fn, *args):
     return result
 
 
-def _terms_payload(exp: SchurExpansion) -> list[dict]:
-    return [{"lambda": list(lam), "mult": mult} for lam, mult in exp.items()]
-
-
-def _json_list(items: Iterable) -> str:
-    """A JSON array of ints, or of items already written as JSON: the
-    str() of either is its JSON text."""
-    return "[" + ", ".join(map(str, items)) + "]"
-
-
 def _json(value) -> str:
-    """json.dumps(value) with the default separators, byte for byte, for
-    the values a payload holds: dicts with str keys, lists, bools, ints
-    and the fixed ASCII names (inners, methods, table kinds and row
-    classes), which json.dumps writes as plain quoted text."""
+    """json.dumps(value) with the default separators, byte for byte.
+
+    It writes the values a payload holds: dicts with str keys, lists,
+    bools, ints, the fixed ASCII names (inners, methods, table kinds and
+    row classes), which json.dumps writes as plain quoted text, a tuple
+    (a partition) as a list of ints and a SchurExpansion as its list of
+    {"lambda", "mult"} terms, with no dict per term: each term's text up
+    to its multiplicity comes from the per-shape memo _json_term_head.
+    Every decompose query passes through here, so the common types are
+    tested first.
+    """
+    if isinstance(value, str):
+        return f'"{value}"'
+    if isinstance(value, tuple):
+        return "[" + ", ".join(map(str, value)) + "]"
     if isinstance(value, dict):
         return "{" + ", ".join([f'"{k}": {_json(v)}' for k, v in value.items()]) + "}"
     if isinstance(value, list):
-        return _json_list(map(_json, value))
-    if isinstance(value, str):
-        return f'"{value}"'
+        return "[" + ", ".join(map(_json, value)) + "]"
+    if isinstance(value, SchurExpansion):
+        body = "}, ".join([_json_term_head(lam) + str(m) for lam, m in value.items()])
+        return f"[{body}}}]" if body else "[]"
     if isinstance(value, bool):
         return "true" if value else "false"
     return str(value)
@@ -107,28 +109,15 @@ def _json(value) -> str:
 @cache
 def _json_term_head(lam: Partition) -> str:
     """The opening text of lam's JSON term, up to its multiplicity."""
-    return '{"lambda": ' + _json_list(lam) + ', "mult": '
+    return '{"lambda": ' + _json(lam) + ', "mult": '
 
 
 def _expansion_output(
     nu: Partition, inner: str, method: str, exp: SchurExpansion, fmt: str
 ) -> Output:
-    """The lines decompose and oracle print for one expansion.
-
-    The JSON line is written here, term by term, with no dict per term:
-    each term's text up to its multiplicity comes from a per-shape memo.
-    It equals json.dumps of {"nu", "inner", "terms", "method"} with the
-    default separators byte for byte, because every value is an int, a
-    list of ints or one of a fixed set of ASCII names (the inners and
-    method names), which json.dumps writes as plain quoted text.
-    """
+    """What decompose and oracle print for one expansion."""
     if fmt == "json":
-        body = "}, ".join([_json_term_head(lam) + str(m) for lam, m in exp.items()])
-        terms = f"[{body}}}]" if body else "[]"
-        return [
-            f'{{"nu": {_json_list(nu)}, "inner": "{inner}", '
-            f'"terms": {terms}, "method": "{method}"}}'
-        ]
+        return {"nu": nu, "inner": inner, "terms": exp, "method": method}
     if fmt == "csv":
         return ["lambda;mult;table1_class"] + [
             f"{format_partition(lam)};{mult};" for lam, mult in exp.items()
@@ -173,16 +162,13 @@ def _cmd_compare(args: argparse.Namespace, timings: dict) -> tuple[int, Output]:
     code = 1 if diff else 0
     if args.format == "json":
         return code, {
-            "nu": list(nu),
+            "nu": nu,
             "inner": inner,
             "method": method,
             "agree": not diff,
-            "formula_terms": _terms_payload(formula),
-            "oracle_terms": _terms_payload(reference),
-            "diff": [
-                {"lambda": list(lam), "formula": a, "oracle": b}
-                for lam, a, b in diff
-            ],
+            "formula_terms": formula,
+            "oracle_terms": reference,
+            "diff": [{"lambda": lam, "formula": a, "oracle": b} for lam, a, b in diff],
         }
     return code, [
         f"nu: {format_partition(nu)}",
@@ -206,16 +192,16 @@ def _cmd_table(args: argparse.Namespace, timings: dict) -> tuple[int, Output]:
         lam: table_multiplicity(lam, kind, n) for lam in generate_partitions(2 * n)
     }
     rows = [
-        {"lambda": list(lam), "mult": mult, "class": table_row_class(lam)}
+        {"lambda": lam, "mult": mult, "class": table_row_class(lam)}
         for lam, mult in mults.items()
         if mult
     ]
-    payload: dict = {"n": n, "kind": kind, "nu": list(nu), "rows": rows}
+    payload: dict = {"n": n, "kind": kind, "nu": nu, "rows": rows}
     mismatches = []
     if args.verify:
         reference, _ = decompose(nu)
         mismatches = [
-            {"lambda": list(lam), "table": got, "formula": reference[lam]}
+            {"lambda": lam, "table": got, "formula": reference[lam]}
             for lam, got in mults.items()
             if got != reference[lam]
         ]
@@ -246,12 +232,7 @@ def _cmd_lr(args: argparse.Namespace, timings: dict) -> tuple[int, Output]:
     lam, mu, nu = (parse_partition(s) for s in (args.lam, args.mu, args.nu))
     value = lr_coefficient(lam, mu, nu)
     if args.format == "json":
-        return 0, {
-            "lambda": list(lam),
-            "mu": list(mu),
-            "nu": list(nu),
-            "coefficient": value,
-        }
+        return 0, {"lambda": lam, "mu": mu, "nu": nu, "coefficient": value}
     return 0, [str(value)]
 
 

@@ -57,11 +57,13 @@ if TYPE_CHECKING:
 
 # fractions (and the decimal and numbers modules it loads) is imported
 # where a power-sum coefficient is made, so the Schur-only routes and
-# the command line start without it.
+# the command line start without it. Fraction() would also parse a str
+# and take a float or Decimal; only a Rational is exact by type.
 def _as_fraction(value) -> Fraction:
     from fractions import Fraction
+    from numbers import Rational
 
-    if isinstance(value, float):
+    if not isinstance(value, Rational):
         raise TypeError("power-sum coefficients must be exact (int or Fraction)")
     return Fraction(value)
 

@@ -21,6 +21,7 @@ _LABELS = {
     10: "induced products match Littlewood-Richardson recombination",
     11: "performance envelope (n <= 6 under 60s, full run under 600s)",
     12: "Brion monotonicity: formulas |nu| <= 11, oracle |nu| <= 10",
+    13: "principal specialisation of the formulas, no oracle or LR, |nu| <= 13",
 }
 
 _results: dict[int, dict[str, int]] = {}

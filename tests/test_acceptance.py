@@ -1,12 +1,15 @@
 """Acceptance suite.
 
-Twelve criteria, every comparison exact with tolerance zero.  Each
+Thirteen criteria, every comparison exact with tolerance zero.  Each
 test body is timed; criterion 11 aggregates the recorded durations
 into the performance envelope, so it must run last (it is defined
-last, after criterion 12, and pytest preserves definition order).
+last, after criteria 12 and 13, and pytest preserves definition order).
 conftest.py prints a per-criterion verdict line at the end of the run.
 """
 
+import collections
+import functools
+import itertools
 import math
 import time
 from contextlib import contextmanager
@@ -28,7 +31,7 @@ from foulkes.formulas import (
 )
 from foulkes.lr import lr_coefficient
 from foulkes.oracle import oracle_plethysm_e2, oracle_plethysm_s2
-from foulkes.partitions import generate_partitions, irreducible_dimension
+from foulkes.partitions import conjugate, generate_partitions, irreducible_dimension
 
 _DURATIONS: list[tuple[int, int, float]] = []
 
@@ -234,6 +237,124 @@ def test_criterion_12_brion_monotonicity_oracle(n):
             lambda nu, inner: oracle[inner](nu, max_weight=11), generate_partitions(n)
         )
         assert checked and not bad, bad
+
+
+# Criterion 13 specialises both sides at x = (1, q, ..., q^(K-1)) and
+# compares integer polynomials in q, held as coefficient lists. It reads
+# only the formula output, generate_partitions and conjugation: no
+# oracle, no Littlewood-Richardson coefficient, no character.
+
+
+def _trim(a):
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _poly_add(a, b, scale=1):
+    """a + scale * b."""
+    out = a + [0] * (len(b) - len(a))
+    for i, c in enumerate(b):
+        out[i] += scale * c
+    return _trim(out)
+
+
+def _poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, c in enumerate(a):
+        if c:
+            for j, d in enumerate(b):
+                out[i + j] += c * d
+    return out
+
+
+@functools.cache
+def _alphabet_series(k, inner, dual, top):
+    """h_0..h_top (dual: e_0..e_top) of the alphabet s_2 or e_2 turns
+    x = (1, q, ..., q^(k-1)) into: q^(i+j) for i <= j < k (i < j for
+    e_2), read off prod 1/(1 - y t) (dual: prod (1 + y t))."""
+    series = [[1]] + [[] for _ in range(top)]
+    for i in range(k):
+        for j in range(i if inner == "s2" else i + 1, k):
+            shift = [0] * (i + j)
+            # dividing by 1 - y t runs upwards through the new series,
+            # multiplying by 1 + y t downwards through the old one
+            for d in range(top, 0, -1) if dual else range(1, top + 1):
+                series[d] = _poly_add(series[d], shift + series[d - 1])
+    return series
+
+
+def _plethysm_specialised(nu, inner, k):
+    """s_nu[s_2] (or s_nu[e_2]) at x = (1, q, ..., q^(k-1)): Jacobi-Trudi
+    in the h_d of the alphabet, or its dual in the e_d when nu has more
+    rows than columns, with the minors memoized on their columns."""
+    dual = len(nu) > (nu[0] if nu else 0)
+    rows = conjugate(nu) if dual else nu
+    series = _alphabet_series(k, inner, dual, sum(nu))
+
+    @functools.cache
+    def minor(cols):
+        i = len(rows) - len(cols)
+        if i == len(rows):
+            return [1]
+        total = []
+        for sign, col in zip(itertools.cycle((1, -1)), cols):
+            d = rows[i] - i + col
+            if d >= 0 and series[d]:
+                rest = minor(tuple(c for c in cols if c != col))
+                total = _poly_add(total, _poly_mul(series[d], rest), sign)
+        return total
+
+    return minor(tuple(range(len(rows))))
+
+
+@functools.cache
+def _schur_specialised(lam, k):
+    """s_lam(1, q, ..., q^(k-1)) for lam with at most k rows, by the
+    q-hook-content formula (Macdonald I.3 Ex. 1): q^n(lam) times the
+    product over the cells of (1 - q^(k + content)) / (1 - q^hook)."""
+    cols = conjugate(lam)
+    tops, bottoms = collections.Counter(), collections.Counter()
+    for i, row in enumerate(lam):
+        for j in range(row):
+            tops[k + j - i] += 1
+            bottoms[row - j + cols[j] - i - 1] += 1
+    common = tops & bottoms
+    poly = [0] * sum(i * row for i, row in enumerate(lam)) + [1]
+    for e in (tops - common).elements():
+        poly = _poly_add(poly, [0] * e + poly, -1)
+    for e in (bottoms - common).elements():
+        # divide by 1 - q^e, which must leave no remainder
+        for d in range(e, len(poly)):
+            poly[d] += poly[d - e]
+        assert not any(poly[len(poly) - e :]), (lam, k)
+        poly = poly[: len(poly) - e]
+    return poly
+
+
+@pytest.mark.parametrize("n", range(0, 14))
+def test_criterion_13_principal_specialisation(n):
+    # both inners of every auto-covered nu, at the smallest K with
+    # (K+1)^2 > 2n: a lam of 2n with more than K rows has at most K
+    # columns, so one of the two inners sees it (s_nu[e_2] is omega of
+    # s_nu[s_2])
+    k = math.isqrt(2 * n)
+    letters = {"s2": k * (k + 1) // 2, "e2": k * (k - 1) // 2}
+    with _timed(13, n):
+        for nu in generate_partitions(n):
+            if not _auto_covered(nu):
+                continue
+            for inner in ("s2", "e2"):
+                terms = decompose(nu, inner=inner)[0].items()
+                right = []
+                for lam, mult in terms:
+                    if len(lam) <= k:
+                        right = _poly_add(right, _schur_specialised(lam, k), mult)
+                left = _plethysm_specialised(nu, inner, k)
+                assert left == right, (nu, inner, k)
+                # s_nu of that many letters is nonzero exactly when nu
+                # has no more rows than letters
+                assert bool(left) == (len(nu) <= letters[inner]), (nu, inner, k)
 
 
 def test_criterion_11_performance_envelope():

@@ -497,7 +497,7 @@ COVERED_JSON_QUERIES = [
 
 
 class TestJsonBytes:
-    """decompose and oracle write their JSON line without json; it must
+    """decompose and oracle print their JSON through cli._json; it must
     equal json.dumps of the parsed payload byte for byte and carry the
     library's terms."""
 
@@ -535,33 +535,13 @@ class TestJsonBytes:
     def test_empty_expansion(self):
         out = cli._expansion_output((), "s2", "one-row", SchurExpansion(), "json")
         payload = {"nu": [], "inner": "s2", "terms": [], "method": "one-row"}
-        assert out == [json.dumps(payload)]
-
-
-@pytest.mark.parametrize("command", ["decompose", "oracle"])
-def test_json_output_loads_no_json_module(command):
-    # -S keeps site hooks from importing json before the CLI runs
-    src = str(Path(foulkes.__file__).resolve().parents[1])
-    code = (
-        "import sys, foulkes.cli\n"
-        f"foulkes.cli.main([{command!r}, '2,1', '--format', 'json'])\n"
-        "print('json' in sys.modules)\n"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-S", "-c", code],
-        env=dict(os.environ, PYTHONPATH=src),
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    line, loaded = proc.stdout.splitlines()
-    assert line.startswith('{"nu": [2, 1], ')
-    assert loaded == "False"
+        assert cli._json(out) == json.dumps(payload)
 
 
 @pytest.mark.parametrize(
     "argv",
     [
+        ["decompose", "2,1", "--format", "json"],
         ["oracle", "3,1", "--format", "json"],
         ["compare", "2,1", "--format", "json"],
         ["table", "6", "--kind", "n-2,2", "--format", "json"],
@@ -570,8 +550,9 @@ def test_json_output_loads_no_json_module(command):
     ids=" ".join,
 )
 def test_json_commands_load_no_fraction_or_json_module(argv):
-    # the oracle runs in integers and the dict payloads have their own
-    # writer, so no subcommand needs fractions, decimal or json
+    # the oracle runs in integers and every payload goes through cli._json,
+    # so no subcommand needs fractions, decimal or json; -S keeps site
+    # hooks from importing any of them before the CLI runs
     src = str(Path(foulkes.__file__).resolve().parents[1])
     code = (
         "import sys, foulkes.cli\n"
@@ -605,8 +586,21 @@ _CLI_NAMES = ("s2", "e2", "oracle") + METHODS + TABLE_NU_KINDS + _ROW_CLASSES
 _PAYLOAD_KEYS = st.sampled_from(
     ["nu", "inner", "method", "agree", "terms", "lambda", "mult", "class", "n", "kind"]
 )
+# A partition as the library holds it, and an expansion of one degree.
+_TUPLES = st.lists(st.integers(min_value=1), max_size=5).map(tuple)
+_EXPANSIONS = st.integers(0, 6).flatmap(
+    lambda n: st.dictionaries(
+        st.sampled_from(list(generate_partitions(n))), st.integers(), max_size=6
+    )
+).map(SchurExpansion)
 _PAYLOADS = st.recursive(
-    st.one_of(st.integers(), st.booleans(), st.sampled_from(_CLI_NAMES)),
+    st.one_of(
+        st.integers(),
+        st.booleans(),
+        st.sampled_from(_CLI_NAMES),
+        _TUPLES,
+        _EXPANSIONS,
+    ),
     lambda inner: st.one_of(
         st.lists(inner, max_size=4), st.dictionaries(_PAYLOAD_KEYS, inner, max_size=4)
     ),
@@ -614,15 +608,20 @@ _PAYLOADS = st.recursive(
 )
 
 
+def _terms(exp):
+    return [{"lambda": list(lam), "mult": m} for lam, m in exp.items()]
+
+
 class TestJsonWriter:
-    """compare, table and lr print their dict payloads with cli._json,
-    which must equal json.dumps on every value they can hold (the golden
-    table pins the bytes of those subcommands' JSON outputs)."""
+    """Every subcommand prints its JSON payload with cli._json, which must
+    equal json.dumps on every value a payload can hold, a partition
+    written as a list and an expansion as its list of terms (the golden
+    table pins the bytes of every JSON output)."""
 
     @settings(max_examples=300, deadline=None)
     @given(_PAYLOADS)
     def test_equals_json_dumps(self, payload):
-        assert cli._json(payload) == json.dumps(payload)
+        assert cli._json(payload) == json.dumps(payload, default=_terms)
 
     def test_names_are_plain_ascii(self):
         assert METHODS == (

@@ -3,6 +3,7 @@
 import math
 import operator
 import random
+from decimal import Decimal
 from fractions import Fraction
 from functools import cache
 
@@ -230,6 +231,22 @@ class TestPowerSumExpansion:
     def test_rejects_float(self):
         with pytest.raises(TypeError):
             PowerSumExpansion({(2,): 0.5})
+
+    @pytest.mark.parametrize("value", ["1/2", " 7 ", "3", Decimal("0.1")], ids=repr)
+    def test_rejects_str_and_decimal(self, value):
+        with pytest.raises(TypeError, match="must be exact"):
+            PowerSumExpansion({(2,): value})
+        with pytest.raises(TypeError, match="must be exact"):
+            PowerSumExpansion({(2,): 1}) * value
+        with pytest.raises(TypeError, match="must be exact"):
+            value * PowerSumExpansion({(2,): 1})
+
+    def test_accepts_int_bool_and_fraction(self):
+        f = PowerSumExpansion({(2,): True, (1, 1): Fraction(1, 2)})
+        assert f.items() == (((2,), Fraction(1)), ((1, 1), Fraction(1, 2)))
+        assert all(type(c) is Fraction for _, c in f.items())
+        assert (f * 2)[(2,)] == 2 and (f * False) == PowerSumExpansion()
+        assert (Fraction(1, 3) * f)[(1, 1)] == Fraction(1, 6)
 
     def test_product_concatenates_indices(self):
         f = PowerSumExpansion({(2,): Fraction(1, 2)})
