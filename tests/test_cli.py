@@ -538,6 +538,27 @@ class TestJsonBytes:
         assert cli._json(out) == json.dumps(payload)
 
 
+@pytest.mark.parametrize("command", ["decompose", "oracle"])
+def test_json_output_loads_no_json_module(command):
+    # -S keeps site hooks from importing json before the CLI runs
+    src = str(Path(foulkes.__file__).resolve().parents[1])
+    code = (
+        "import sys, foulkes.cli\n"
+        f"foulkes.cli.main([{command!r}, '2,1', '--format', 'json'])\n"
+        "print('json' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    line, loaded = proc.stdout.splitlines()
+    assert line.startswith('{"nu": [2, 1], ')
+    assert loaded == "False"
+
+
 @pytest.mark.parametrize(
     "argv",
     [
