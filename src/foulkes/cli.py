@@ -118,18 +118,19 @@ def _expansion_output(
     """What decompose and oracle print for one expansion."""
     if fmt == "json":
         return {"nu": nu, "inner": inner, "terms": exp, "method": method}
+    terms = exp.items()  # sorted once, for the rows
     if fmt == "csv":
         return ["lambda;mult;table1_class"] + [
-            f"{format_partition(lam)};{mult};" for lam, mult in exp.items()
+            f"{format_partition(lam)};{mult};" for lam, mult in terms
         ]
     return [
         f"nu: {format_partition(nu)}",
         f"inner: {inner}",
         f"method: {method}",
         "terms:",
-        *(f"  {format_partition(lam)}  {mult}" for lam, mult in exp.items()),
-        f"constituents: {len(exp)}",
-        f"multiplicity: {sum(m for _, m in exp.items())}",
+        *(f"  {format_partition(lam)}  {mult}" for lam, mult in terms),
+        f"constituents: {len(terms)}",
+        f"multiplicity: {sum(m for _, m in terms)}",
         f"dimension: {total_dimension(exp)}",
     ]
 

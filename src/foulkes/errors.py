@@ -27,7 +27,9 @@ class EmptyIncludeSetError(FoulkesError, ValueError):
 
 
 class InvalidShapeError(FoulkesError, ValueError):
-    """Arguments fall outside the shape family a formula covers."""
+    """Arguments fall outside the shape family a formula covers, or a
+    size or index argument (an n, an r, a table's n, the oracle's
+    max_weight) is below its range."""
 
 
 class UnsupportedShapeError(FoulkesError, ValueError):

@@ -442,5 +442,6 @@ def omega_schur(f: SchurExpansion) -> SchurExpansion:
 
 
 def total_dimension(f: SchurExpansion) -> int:
-    """Dimension of the character f expands, i.e. sum of mult * dim."""
-    return sum(c * irreducible_dimension(lam) for lam, c in f.items())
+    """Dimension of the character f expands, i.e. sum of mult * dim.
+    A sum needs no order, so the terms are read unsorted."""
+    return sum(c * irreducible_dimension(lam) for lam, c in f._terms.items())

@@ -36,6 +36,7 @@ method takes the first method whose rule nu meets.
 
 from __future__ import annotations
 
+import operator
 from functools import cache
 from typing import Iterable
 
@@ -44,6 +45,8 @@ from .expansions import SchurExpansion, omega_schur
 from .lr import schur_multiply
 from .partitions import (
     Partition,
+    _as_name,
+    _as_size,
     _clip_int,
     _clip_parts,
     _conjugate,
@@ -67,29 +70,27 @@ TABLE_NU_KINDS = ("n-2,1,1", "n-2,2")
 METHODS = ("auto", "two-row", "two-column", "hook-first", "hook-second", "base")
 
 
-@cache
 def phi_one_row(n: int) -> SchurExpansion:
     """Decomposition for nu = (n): one copy of s_lam for every doubled
     partition lam = 2 * alpha with alpha a partition of n."""
-    if n < 0:
-        raise InvalidShapeError("n must be nonnegative")
-    return SchurExpansion._trusted(
-        {double(alpha): 1 for alpha in generate_partitions(n)}
-    )
+    return _base("h", _as_size(n, "n"))
 
 
-@cache
 def phi_one_column(n: int) -> SchurExpansion:
     """Decomposition for nu = (1^n): one copy of s_lam for every
     double hook lam built from a distinct-part partition of n."""
-    if n < 0:
-        raise InvalidShapeError("n must be nonnegative")
-    return SchurExpansion._trusted(
-        {double_hook(alpha): 1 for alpha in generate_distinct_partitions(n)}
-    )
+    return _base("e", _as_size(n, "n"))
 
 
-_BASES = {"h": phi_one_row, "e": phi_one_column}
+@cache
+def _base(kind: str, n: int) -> SchurExpansion:
+    """The memo behind phi_one_row (kind "h") and phi_one_column (kind
+    "e"), for an n they have checked."""
+    if kind == "h":
+        shapes = map(double, generate_partitions(n))
+    else:
+        shapes = map(double_hook, generate_distinct_partitions(n))
+    return SchurExpansion._trusted(dict.fromkeys(shapes, 1))
 
 
 @cache
@@ -97,7 +98,7 @@ def _factor_product(a: int, b: int, kind: str) -> SchurExpansion:
     """The product of the bases kind[0]_a and kind[1]_b, h for the one
     row and e for the one column. The sums here pass a >= b to the
     symmetric kinds "hh" and "ee", so each such product has one entry."""
-    return schur_multiply(_BASES[kind[0]](a), _BASES[kind[1]](b))
+    return schur_multiply(_base(kind[0], a), _base(kind[1], b))
 
 
 def induce_product(f: SchurExpansion, g: SchurExpansion) -> SchurExpansion:
@@ -136,8 +137,7 @@ def _two_by_two(n: int, r: int, kind: str) -> SchurExpansion:
     """The 2x2 Jacobi-Trudi determinant h_(n-r) h_r - h_(n-r+1) h_(r-1)
     of the plethysm bases (kind "hh"), or its dual in e (kind "ee"), for
     n >= 1 and 0 <= 2r <= n."""
-    if n < 1:
-        raise InvalidShapeError("n must be a positive integer")
+    n, r = _as_size(n, "n", 1), operator.index(r)
     if r < 0 or 2 * r > n:
         raise InvalidShapeError(
             f"need 0 <= 2r <= n, got n={_clip_int(n)}, r={_clip_int(r)}"
@@ -171,15 +171,12 @@ def phi_hook(n: int, r: int, variant: str = "first") -> SchurExpansion:
     the one-column decomposition of r-j, signed (-1)^j. The second runs
     j = 1..n-r over products for n-r-j and r+j, signed (-1)^(j-1).
     """
-    if n < 1:
-        raise InvalidShapeError("n must be a positive integer")
+    n, r = _as_size(n, "n", 1), operator.index(r)
     if r < 0 or r > n - 1:
         raise InvalidShapeError(
             f"need 0 <= r <= n-1, got n={_clip_int(n)}, r={_clip_int(r)}"
         )
-    if variant not in ("first", "second"):
-        raise ValueError(f"variant must be 'first' or 'second', got {variant!r}")
-    if variant == "first":
+    if _as_name(variant, "variant", ("first", "second")) == "first":
         terms = (((-1) ** j, n - r + j, r - j, "he") for j in range(r + 1))
     else:
         terms = (((-1) ** (j - 1), n - r - j, r + j, "he") for j in range(1, n - r + 1))
@@ -193,8 +190,7 @@ def phi_hook_depth1_closed(n: int) -> SchurExpansion:
     parts minus one, and every partition of 2n with exactly two odd
     parts of different values contributes once.
     """
-    if n < 2:
-        raise InvalidShapeError("closed form needs n >= 2")
+    n = _as_size(n, "n", 2)
     acc: dict[Partition, int] = {}
     for gamma in generate_partitions(n):
         lam = double(gamma)
@@ -243,8 +239,7 @@ def phi_two_one_column_closed(n: int) -> SchurExpansion:
     distinct columns (not at the two ends of one diagonal hook)
     contributes once, counted once no matter how many ways it arises.
     """
-    if n < 2:
-        raise InvalidShapeError("closed form needs n >= 2")
+    n = _as_size(n, "n", 2)
     acc: dict[Partition, int] = {}
     for gamma in generate_distinct_partitions(n):
         c = drop_count(gamma) - 1
@@ -282,12 +277,8 @@ def table_row_class(lam: Iterable[int]) -> str:
 def table_nu(kind: str, n: int) -> Partition:
     """The nu a table kind stands for: (n-2, 1, 1) for kind 'n-2,1,1',
     n >= 3, and (n-2, 2) for kind 'n-2,2', n >= 4."""
-    if kind not in TABLE_NU_KINDS:
-        raise ValueError(f"kind must be one of {TABLE_NU_KINDS}, got {kind!r}")
-    hook_kind = kind == "n-2,1,1"
-    smallest = 3 if hook_kind else 4
-    if n < smallest:
-        raise InvalidShapeError(f"kind {kind!r} needs n >= {smallest}")
+    hook_kind = _as_name(kind, "kind", TABLE_NU_KINDS) == "n-2,1,1"
+    n = _as_size(n, f"n for kind {kind!r}", 3 if hook_kind else 4)
     return (n - 2, 1, 1) if hook_kind else (n - 2, 2)
 
 
@@ -300,10 +291,12 @@ def table_multiplicity(lam: Iterable[int], kind: str, n: int) -> int:
     class have multiplicity 0.
     """
     lam = as_partition(lam)
-    table_nu(kind, n)  # raises unless kind and n fit
+    n = sum(table_nu(kind, n))  # checks kind and n; nu has size n
     hook_kind = kind == "n-2,1,1"
     if sum(lam) != 2 * n:
-        raise InvalidShapeError(f"lam must have size {2 * n}, got {sum(lam)}")
+        raise InvalidShapeError(
+            f"lam must have size {_clip_int(2 * n)}, got {_clip_int(sum(lam))}"
+        )
     cls = table_row_class(lam)
     if cls == "all-even":
         a = distinct_part_count(lam)
@@ -356,10 +349,8 @@ def decompose(
     unknown method or inner.
     """
     nu = as_partition(nu)
-    if method not in METHODS:
-        raise ValueError(f"method must be one of {METHODS}, got {method!r}")
-    if inner not in ("s2", "e2"):
-        raise ValueError(f"inner must be 's2' or 'e2', got {inner!r}")
+    method = _as_name(method, "method", METHODS)
+    inner = _as_name(inner, "inner", ("s2", "e2"))
     result, method = _closed_formula(nu, method)
     return (omega_schur(result) if inner == "e2" else result), method
 

@@ -28,7 +28,7 @@ from .expansions import (
     _divide_exactly,
     powersum_to_schur,
 )
-from .partitions import Partition, _clip_int, as_partition
+from .partitions import Partition, _as_size, _clip_int, as_partition
 
 # Cap on |nu| for oracle runs. The first call at a size n fills the
 # character columns it needs, those of the power-sum terms of 2n with
@@ -44,11 +44,8 @@ DEFAULT_MAX_WEIGHT = 9
 
 
 def _check_cap(nu: Partition, max_weight: int | None) -> None:
-    if max_weight is not None and max_weight < 0:
-        raise ValueError(
-            f"max_weight must not be negative, got {_clip_int(max_weight)}"
-        )
     cap = DEFAULT_MAX_WEIGHT if max_weight is None else max_weight
+    cap = _as_size(cap, "max_weight")
     if sum(nu) > cap:
         raise ResourceBoundError(
             f"|nu| = {_clip_int(sum(nu))} exceeds the oracle cap {_clip_int(cap)}; "
@@ -96,8 +93,8 @@ def oracle_plethysm_s2(
 
     Results are cached per nu for the life of the process. Raises
     ResourceBoundError when |nu| exceeds the cap (DEFAULT_MAX_WEIGHT
-    unless max_weight says otherwise), and ValueError when max_weight
-    is negative.
+    unless max_weight says otherwise), InvalidShapeError when
+    max_weight is negative, and TypeError when it is not an integer.
     """
     nu = as_partition(nu)
     _check_cap(nu, max_weight)

@@ -16,6 +16,7 @@ from typing import Iterable, Sequence
 
 from .errors import (
     EmptyIncludeSetError,
+    InvalidShapeError,
     PartitionParseError,
     RepeatedPartsError,
     ResourceBoundError,
@@ -52,6 +53,33 @@ def as_partition(parts: Iterable[int]) -> Partition:
     return lam
 
 
+def _as_size(value: int, name: str, least: int = 0) -> int:
+    """Check a size or index argument and return it as an int.
+
+    Like a part, it must be an integer type (operator.index): a float or
+    a str raises TypeError. Below least it raises InvalidShapeError,
+    whose one message names the argument and shows the value as
+    _clip_int does. Public functions call this before any memo, since
+    a memo keyed on 4 also answers 4.0.
+    """
+    n = operator.index(value)
+    if n < least:
+        raise InvalidShapeError(f"{name} must be at least {least}, got {_clip_int(n)}")
+    return n
+
+
+def _as_name(value: str, name: str, allowed: tuple[str, ...]) -> str:
+    """Check a name argument against the names it may take.
+
+    Anything else raises ValueError, whose message echoes a str value
+    as _clip does, so its length stays bounded.
+    """
+    if value in allowed:
+        return value
+    shown = repr(_clip(value)) if isinstance(value, str) else type(value).__name__
+    raise ValueError(f"{name} must be one of {allowed}, got {shown}")
+
+
 @cache
 def _bounded(n: int, cap: int, gap: int) -> tuple[Partition, ...]:
     """The partitions of n with every part at most cap, reverse-lex.
@@ -75,15 +103,13 @@ def generate_partitions(n: int) -> tuple[Partition, ...]:
     >>> generate_partitions(4)
     ((4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1))
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    n = _as_size(n, "n")
     return _bounded(n, n, 0)
 
 
 def generate_distinct_partitions(n: int) -> tuple[Partition, ...]:
     """All partitions of n with pairwise distinct parts, reverse-lex order."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    n = _as_size(n, "n")
     return _bounded(n, n, 1)
 
 
@@ -172,12 +198,13 @@ def count_even_shifts(
     part value of lam and no exclude value, shifted by 2k, is one.
 
     Membership is tested against the set of part values, so repeated
-    parts count once. Raises EmptyIncludeSetError when include is empty
-    (the count would be infinite).
+    parts count once. The values must be integer types, as parts are.
+    Raises EmptyIncludeSetError when include is empty (the count would
+    be infinite).
     """
     lam = as_partition(lam)
-    inc = {int(x) for x in include}
-    exc = {int(y) for y in exclude}
+    inc = set(map(operator.index, include))
+    exc = set(map(operator.index, exclude))
     if not inc:
         raise EmptyIncludeSetError("include set must be nonempty for a finite count")
     values = set(lam)

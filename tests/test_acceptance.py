@@ -1,9 +1,9 @@
 """Acceptance suite.
 
-Thirteen criteria, every comparison exact with tolerance zero.  Each
+Fourteen criteria, every comparison exact with tolerance zero.  Each
 test body is timed; criterion 11 aggregates the recorded durations
 into the performance envelope, so it must run last (it is defined
-last, after criteria 12 and 13, and pytest preserves definition order).
+last, after criteria 12 to 14, and pytest preserves definition order).
 conftest.py prints a per-criterion verdict line at the end of the run.
 """
 
@@ -11,6 +11,7 @@ import collections
 import functools
 import itertools
 import math
+import operator
 import time
 from contextlib import contextmanager
 
@@ -29,7 +30,7 @@ from foulkes.formulas import (
     phi_two_row,
     table_multiplicity,
 )
-from foulkes.lr import lr_coefficient
+from foulkes.lr import lr_coefficient, schur_multiply
 from foulkes.oracle import oracle_plethysm_e2, oracle_plethysm_s2
 from foulkes.partitions import conjugate, generate_partitions, irreducible_dimension
 
@@ -332,29 +333,113 @@ def _schur_specialised(lam, k):
     return poly
 
 
+def check_principal_specialisation(nu, inner):
+    """Criterion 13 for one covered nu and one inner, at the smallest K
+    with (K+1)^2 > 2|nu|: a lam of 2|nu| with more than K rows has at
+    most K columns, so one of the two inners sees it (s_nu[e_2] is omega
+    of s_nu[s_2]). CI also runs it on its own at |nu| = 20, with
+    PYTHONPATH=src:tests and ``from test_acceptance import ...``."""
+    k = math.isqrt(2 * sum(nu))
+    right = []
+    for lam, mult in decompose(nu, inner=inner)[0].items():
+        if len(lam) <= k:
+            right = _poly_add(right, _schur_specialised(lam, k), mult)
+    left = _plethysm_specialised(nu, inner, k)
+    assert left == right, (nu, inner, k)
+    # s_nu of that many letters is nonzero exactly when nu has no more
+    # rows than letters
+    letters = k * (k + 1) // 2 if inner == "s2" else k * (k - 1) // 2
+    assert bool(left) == (len(nu) <= letters), (nu, inner, k)
+
+
 @pytest.mark.parametrize("n", range(0, 14))
 def test_criterion_13_principal_specialisation(n):
-    # both inners of every auto-covered nu, at the smallest K with
-    # (K+1)^2 > 2n: a lam of 2n with more than K rows has at most K
-    # columns, so one of the two inners sees it (s_nu[e_2] is omega of
-    # s_nu[s_2])
-    k = math.isqrt(2 * n)
-    letters = {"s2": k * (k + 1) // 2, "e2": k * (k - 1) // 2}
+    # both inners of every auto-covered nu
     with _timed(13, n):
         for nu in generate_partitions(n):
-            if not _auto_covered(nu):
-                continue
-            for inner in ("s2", "e2"):
-                terms = decompose(nu, inner=inner)[0].items()
-                right = []
-                for lam, mult in terms:
-                    if len(lam) <= k:
-                        right = _poly_add(right, _schur_specialised(lam, k), mult)
-                left = _plethysm_specialised(nu, inner, k)
-                assert left == right, (nu, inner, k)
-                # s_nu of that many letters is nonzero exactly when nu
-                # has no more rows than letters
-                assert bool(left) == (len(nu) <= letters[inner]), (nu, inner, k)
+            if _auto_covered(nu):
+                for inner in ("s2", "e2"):
+                    check_principal_specialisation(nu, inner)
+
+
+# Criterion 14 checks the formulas against each other by Littlewood's
+# identity for p_2 = h_2 - e_2 (as alphabets). The difference rule
+# s_nu[A - B] = sum c^nu_{mu,rho} s_mu[A] (-1)^|rho| s_rho'[B]
+# (Macdonald I.5 and I.8) gives
+#   s_nu[p_2] = sum c^nu_{mu,rho} (-1)^|rho| s_mu[s_2] s_rho'[s_11],
+# and the left side has a closed rule (Littlewood, The Theory of Group
+# Characters, 1950; Chen, Garsia and Remmel, Contemp. Math. 34, 1984):
+# the multiplicity of s_lam is sigma_2(lam) c^nu_{lam0,lam1} when lam
+# has an empty 2-core, else 0, with (lam0, lam1) the 2-quotient and
+# sigma_2 the domino sign. The left side reads lr_coefficient, the right
+# side decompose and schur_multiply, the other LR engine. For a covered
+# nu every mu and rho' with c^nu_{mu,rho} != 0 is covered too.
+
+
+def _two_quotient(lam):
+    """(sigma_2(lam), (lam0, lam1)) when lam has an empty 2-core, else
+    None, from a 2-runner abacus.
+
+    With an even number N >= len(lam) of beads at lam_i + N - i, the
+    2-core is empty when each runner holds N/2 of them, and the beads
+    2q + j of runner j, listed downwards, give the parts of lam_j as q
+    less the number of beads below. sigma_2 is the sign of the
+    permutation that lists the beads runner by runner, each downwards,
+    taken relative to the empty partition's: (-1)^m(m+1)/2 with m = N/2.
+    """
+    m = (len(lam) + 1) // 2
+    parts = lam + (0,) * (2 * m - len(lam))
+    beads = [p + 2 * m - 1 - i for i, p in enumerate(parts)]
+    runners = [[b // 2 for b in beads if b % 2 == j] for j in (0, 1)]
+    if len(runners[0]) != m:
+        return None
+    # each pair of an even bead below an odd one is one inversion
+    inversions = sum(e < o for e in beads if e % 2 == 0 for o in beads if o % 2)
+    quotient = tuple(
+        tuple(q - (m - 1 - i) for i, q in enumerate(runner) if q > m - 1 - i)
+        for runner in runners
+    )
+    return (-1) ** ((inversions - m * (m + 1) // 2) % 2), quotient
+
+
+def _p2_plethysm(nu):
+    """s_nu[p_2] by the abacus rule and lr_coefficient."""
+    terms = {}
+    for lam in generate_partitions(2 * sum(nu)):
+        found = _two_quotient(lam)
+        if found:
+            sign, (lam0, lam1) = found
+            terms[lam] = sign * lr_coefficient(nu, lam0, lam1)
+    return SchurExpansion(terms)
+
+
+def _p2_by_difference(nu):
+    """s_nu[p_2] by the difference rule, from decompose and
+    schur_multiply only."""
+    n = sum(nu)
+
+    def inside(mu):
+        return len(mu) <= len(nu) and all(map(operator.le, mu, nu))
+
+    total = SchurExpansion()
+    for a in range(n + 1):
+        for mu in filter(inside, generate_partitions(a)):
+            for rho in filter(inside, generate_partitions(n - a)):
+                c = schur_multiply(SchurExpansion({mu: 1}), SchurExpansion({rho: 1}))[nu]
+                if c:
+                    term = schur_multiply(
+                        decompose(mu)[0], decompose(conjugate(rho), inner="e2")[0]
+                    )
+                    total = total + c * (-1) ** (n - a) * term
+    return total
+
+
+@pytest.mark.parametrize("n", range(0, 9))
+def test_criterion_14_littlewood_p2_identity(n):
+    with _timed(14, n):
+        for nu in generate_partitions(n):
+            if _auto_covered(nu):
+                assert _p2_plethysm(nu) == _p2_by_difference(nu), nu
 
 
 def test_criterion_11_performance_envelope():

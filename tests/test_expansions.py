@@ -30,7 +30,13 @@ from foulkes.expansions import (
     schur_to_powersum,
     total_dimension,
 )
-from foulkes.formulas import decompose, phi_hook, phi_two_column, phi_two_row
+from foulkes.formulas import (
+    decompose,
+    phi_hook,
+    phi_two_column,
+    phi_two_row,
+    table_multiplicity,
+)
 from foulkes.oracle import oracle_plethysm_s2
 from foulkes.partitions import (
     centralizer_order,
@@ -536,8 +542,8 @@ class TestHugeIntMessages:
             ),
             (
                 lambda: oracle_plethysm_s2((), max_weight=-(10**5000)),
-                ValueError,
-                "max_weight must not be negative, got -1" + "0" * 38 + "...",
+                InvalidShapeError,
+                "max_weight must be at least 0, got -1" + "0" * 38 + "...",
             ),
             (
                 lambda: SchurExpansion({(10**5000,): 1}) + SchurExpansion({(1,): 1}),
@@ -558,6 +564,11 @@ class TestHugeIntMessages:
                 lambda: phi_hook(10**5000, -1),
                 InvalidShapeError,
                 f"need 0 <= r <= n-1, got n={BIG}, r=-1",
+            ),
+            (
+                lambda: table_multiplicity((2,), "n-2,2", 10**5000),
+                InvalidShapeError,
+                "lam must have size 2" + "0" * 39 + "..., got 2",
             ),
         ],
     )

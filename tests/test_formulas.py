@@ -11,7 +11,14 @@ import sys
 import pytest
 
 import foulkes.cli
-from foulkes import clear_caches, expansions, formulas, lr, oracle_plethysm_s2
+from foulkes import (
+    clear_caches,
+    expansions,
+    formulas,
+    lr,
+    oracle_plethysm_e2,
+    oracle_plethysm_s2,
+)
 from foulkes.errors import InvalidShapeError, UnsupportedShapeError
 from foulkes.expansions import SchurExpansion, omega_schur, total_dimension
 from foulkes.formulas import (
@@ -34,6 +41,7 @@ from foulkes.formulas import (
 from foulkes.lr import schur_multiply
 from foulkes.partitions import (
     conjugate,
+    count_even_shifts,
     double,
     double_hook,
     generate_distinct_partitions,
@@ -461,3 +469,87 @@ class TestMemos:
         clear_caches()
         assert [memo.cache_info().currsize for memo in memos] == [0] * len(memos)
         assert [(decompose(nu), oracle_plethysm_s2(nu)) for nu in shapes] == results
+
+
+# Every public size or index argument: a call taking the argument alone,
+# a value it accepts, and the largest int below its range.
+_SIZE_ARGUMENTS = {
+    "generate_partitions.n": (generate_partitions, 3, -1),
+    "generate_distinct_partitions.n": (generate_distinct_partitions, 3, -1),
+    "phi_one_row.n": (phi_one_row, 4, -1),
+    "phi_one_column.n": (phi_one_column, 4, -1),
+    "phi_two_row.n": (lambda n: phi_two_row(n, 0), 4, 0),
+    "phi_two_row.r": (lambda r: phi_two_row(4, r), 1, -1),
+    "phi_two_column.n": (lambda n: phi_two_column(n, 0), 4, 0),
+    "phi_two_column.r": (lambda r: phi_two_column(4, r), 1, -1),
+    "phi_hook.n": (lambda n: phi_hook(n, 0), 4, 0),
+    "phi_hook.r": (lambda r: phi_hook(4, r), 1, -1),
+    "phi_hook_depth1_closed.n": (phi_hook_depth1_closed, 4, 1),
+    "phi_two_one_column_closed.n": (phi_two_one_column_closed, 4, 1),
+    "table_nu.n-2,1,1": (lambda n: table_nu("n-2,1,1", n), 4, 2),
+    "table_nu.n-2,2": (lambda n: table_nu("n-2,2", n), 4, 3),
+    "table_multiplicity.n": (lambda n: table_multiplicity((4, 4), "n-2,2", n), 4, 3),
+    "oracle_plethysm_s2.max_weight": (
+        lambda cap: oracle_plethysm_s2((2, 1), max_weight=cap),
+        3,
+        -1,
+    ),
+    "oracle_plethysm_e2.max_weight": (
+        lambda cap: oracle_plethysm_e2((2, 1), max_weight=cap),
+        3,
+        -1,
+    ),
+}
+
+# Every public name argument, as a call taking the name alone.
+_NAME_ARGUMENTS = {
+    "decompose.method": lambda method: decompose((2, 1), method=method),
+    "decompose.inner": lambda inner: decompose((2, 1), inner=inner),
+    "phi_hook.variant": lambda variant: phi_hook(4, 1, variant),
+    "table_nu.kind": lambda kind: table_nu(kind, 4),
+    "table_multiplicity.kind": lambda kind: table_multiplicity((4, 4), kind, 4),
+}
+
+
+class TestArgumentRules:
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    @pytest.mark.parametrize("argument", list(_SIZE_ARGUMENTS))
+    def test_size_is_an_int_in_range(self, argument, warm):
+        # a memo keyed on 4 also answers 4.0, so the check has to come
+        # first: the answer must not depend on what ran before
+        call, good, low = _SIZE_ARGUMENTS[argument]
+        clear_caches()
+        if warm:
+            call(good)
+        for value, error in [
+            (float(good), TypeError),
+            (str(good), TypeError),
+            (low, InvalidShapeError),
+        ]:
+            with pytest.raises(error):
+                call(value)
+
+    @pytest.mark.parametrize("argument", list(_NAME_ARGUMENTS))
+    def test_long_name_gets_a_short_message(self, argument):
+        with pytest.raises(ValueError) as info:
+            _NAME_ARGUMENTS[argument]("x" * 100_000)
+        message = str(info.value)
+        assert message.endswith(f"got '{'x' * 40}...'") and len(message) < 200
+
+    @pytest.mark.parametrize("argument", list(_NAME_ARGUMENTS))
+    def test_name_of_another_type_is_refused(self, argument):
+        with pytest.raises(ValueError, match="got NoneType$"):
+            _NAME_ARGUMENTS[argument](None)
+
+    def test_size_message(self):
+        with pytest.raises(InvalidShapeError) as info:
+            table_nu("n-2,2", 3)
+        assert str(info.value) == "n for kind 'n-2,2' must be at least 4, got 3"
+
+    @pytest.mark.parametrize("values", [[" 1 "], [1.0], ["1"]])
+    def test_shift_values_are_ints(self, values):
+        # int() once read " 1 " as 1
+        with pytest.raises(TypeError):
+            count_even_shifts((5, 3, 1), values)
+        with pytest.raises(TypeError):
+            count_even_shifts((5, 3, 1), [1], values)
