@@ -3,6 +3,9 @@
 Subcommands: decompose (closed formulas), oracle (brute force),
 compare (both, with a diff), table (classification table for the
 depth-two shapes), lr (a single Littlewood-Richardson coefficient).
+decompose, oracle and compare read the inner shape as args.inner,
+which --dual sets to e2. compare and table --verify diff two
+expansions one way: the shapes of their difference, with both values.
 Each subcommand returns a JSON payload or its text or CSV lines, and
 main prints them, a payload through _json, so no subcommand loads
 json. Output is deterministic: identical invocations print identical
@@ -137,9 +140,8 @@ def _expansion_output(
 
 def _cmd_decompose(args: argparse.Namespace, timings: dict) -> tuple[int, Output]:
     nu = parse_partition(args.nu)
-    inner = "e2" if args.dual else "s2"
-    result, method = _timed(timings, "formula", decompose, nu, args.method, inner)
-    return 0, _expansion_output(nu, inner, method, result, args.format)
+    result, method = _timed(timings, "formula", decompose, nu, args.method, args.inner)
+    return 0, _expansion_output(nu, args.inner, method, result, args.format)
 
 
 def _cmd_oracle(args: argparse.Namespace, timings: dict) -> tuple[int, Output]:
@@ -149,17 +151,12 @@ def _cmd_oracle(args: argparse.Namespace, timings: dict) -> tuple[int, Output]:
 
 
 def _cmd_compare(args: argparse.Namespace, timings: dict) -> tuple[int, Output]:
-    nu = parse_partition(args.nu)
-    inner = "e2" if args.dual else "s2"
+    nu, inner = parse_partition(args.nu), args.inner
     cap = _oracle_cap()
     _check_cap(nu, cap)  # before the formula, which can take far longer
     formula, method = _timed(timings, "formula", decompose, nu, args.method, inner)
     reference = _timed(timings, "oracle", _oracle, nu, inner, cap)
-    diff = [
-        (lam, formula[lam], reference[lam])
-        for lam in sorted({*formula.support(), *reference.support()}, reverse=True)
-        if formula[lam] != reference[lam]
-    ]
+    diff = [(lam, formula[lam], reference[lam]) for lam in formula - reference]
     code = 1 if diff else 0
     if args.format == "json":
         return code, {
@@ -189,22 +186,20 @@ def _cmd_table(args: argparse.Namespace, timings: dict) -> tuple[int, Output]:
         raise ResourceBoundError(
             f"table n = {_clip_int(n)} exceeds the limit {_MAX_TABLE_N}"
         )
-    mults = {
-        lam: table_multiplicity(lam, kind, n) for lam in generate_partitions(2 * n)
-    }
+    table = SchurExpansion._trusted(
+        {lam: table_multiplicity(lam, kind, n) for lam in generate_partitions(2 * n)}
+    )
     rows = [
         {"lambda": lam, "mult": mult, "class": table_row_class(lam)}
-        for lam, mult in mults.items()
-        if mult
+        for lam, mult in table.items()
     ]
     payload: dict = {"n": n, "kind": kind, "nu": nu, "rows": rows}
     mismatches = []
     if args.verify:
         reference, _ = decompose(nu)
         mismatches = [
-            {"lambda": lam, "table": got, "formula": reference[lam]}
-            for lam, got in mults.items()
-            if got != reference[lam]
+            {"lambda": lam, "table": table[lam], "formula": reference[lam]}
+            for lam in table - reference
         ]
         payload.update(verified=not mismatches, mismatches=mismatches)
     code = 1 if mismatches else 0
@@ -248,11 +243,35 @@ def _table_n(text: str) -> int:
 
 class _Parser(argparse.ArgumentParser):
     """An argparse parser whose usage errors are one line, as the
-    package's own errors are: the usage summary is left out, -h has it."""
+    package's own errors are: the usage summary is left out (-h has it),
+    each argument echoed shows as _clip shows it, and the line stays
+    under 200 bytes however many arguments it echoes."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        self._args = sys.argv[1:] if args is None else args  # for error
+        return super().parse_known_args(args, namespace)
+
+    def parse_args(self, args=None, namespace=None):
+        namespace, extras = self.parse_known_args(args, namespace)
+        if extras:  # argparse's own message joins them whole
+            self._exit_error("unrecognized arguments: " + " ".join(map(_clip, extras)))
+        return namespace
 
     def error(self, message: str) -> NoReturn:
-        message = message.replace("\n", "\\n")  # an argument echoed raw
-        self.exit(2, f"{self.prog}: error: {message}\n")
+        # argparse echoes the one argument at fault whole, as its repr:
+        # an argument, or the value of an --option=value
+        for arg in self._args:
+            for text in (arg, arg.partition("=")[2]):
+                if len(text) > 40:
+                    message = message.replace(repr(text), repr(_clip(text)))
+        self._exit_error(message)
+
+    def _exit_error(self, message: str) -> NoReturn:
+        line = f"{self.prog}: error: {message}".replace("\n", "\\n")
+        shown = line.encode(errors="backslashreplace")
+        if len(shown) > 196:
+            line = shown[:193].decode(errors="ignore") + "..."
+        self.exit(2, line + "\n")
 
 
 @cache
@@ -269,7 +288,8 @@ def _build_parser() -> argparse.ArgumentParser:
     d = sub.add_parser("decompose", help="evaluate a closed formula for nu")
     d.add_argument("nu", help="partition, e.g. 3,1 or 2^2,1 or - for empty")
     d.add_argument("--method", choices=METHODS, default="auto")
-    d.add_argument("--dual", action="store_true", help="expand s_nu(s_(1,1)) instead")
+    dual = dict(action="store_const", dest="inner", const="e2", default="s2")
+    d.add_argument("--dual", **dual, help="expand s_nu(s_(1,1)) instead")
     d.add_argument("--format", choices=("text", "json", "csv"), default="text")
     d.add_argument("--timings", action="store_true", help="print timings to stderr")
     d.set_defaults(handler=_cmd_decompose)
@@ -284,7 +304,7 @@ def _build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("compare", help="run formula and oracle, diff the results")
     c.add_argument("nu")
     c.add_argument("--method", choices=METHODS, default="auto")
-    c.add_argument("--dual", action="store_true")
+    c.add_argument("--dual", **dual)
     c.add_argument("--format", choices=("text", "json"), default="text")
     c.add_argument("--timings", action="store_true")
     c.set_defaults(handler=_cmd_compare)

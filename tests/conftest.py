@@ -22,7 +22,7 @@ _LABELS = {
     11: "performance envelope (n <= 6 under 60s, full run under 600s)",
     12: "Brion monotonicity: formulas |nu| <= 11, oracle |nu| <= 10",
     13: "principal specialisation of the formulas, no oracle or LR, |nu| <= 13",
-    14: "Littlewood's p_2 identity: abacus and lr_coefficient vs formulas, |nu| <= 8",
+    14: "Littlewood's p_2 identity: abacus and lr_coefficient vs formulas, |nu| <= 9",
 }
 
 _results: dict[int, dict[str, int]] = {}

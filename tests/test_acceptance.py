@@ -434,7 +434,7 @@ def _p2_by_difference(nu):
     return total
 
 
-@pytest.mark.parametrize("n", range(0, 9))
+@pytest.mark.parametrize("n", range(0, 10))
 def test_criterion_14_littlewood_p2_identity(n):
     with _timed(14, n):
         for nu in generate_partitions(n):

@@ -237,6 +237,82 @@ class TestLongDigitStrings:
         )
 
 
+def usage_error(capsys, *argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(argv))
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return exc.value.code, captured.err
+
+
+# argparse echoes the arguments it refuses whole; the CLI shows each as
+# the package's own errors do and keeps the line short however many
+# there are
+class TestUsageErrors:
+    X = "x" * 100_000
+    AB = "a b " * 20_000
+
+    @pytest.mark.parametrize(
+        "argv, shown",
+        [
+            (("decompose", "2,1", "--method", X), f"'{X[:40]}...'"),
+            (("decompose", "2,1", X), f"unrecognized arguments: {X[:40]}...\n"),
+            ((X,), f"argument command: invalid choice: '{X[:40]}...'"),
+            (("decompose", "2,1", "--method", AB), f"'{AB[:40]}...'"),
+            (("decompose", "2,1", *["x"] * 20_000), "unrecognized arguments: x x x "),
+            (("decompose", "2,1", *["\uff13"] * 20_000), "arguments: \uff13 \uff13 "),
+            (("decompose", "2,1", f"--method={X}"), f"'{X[:40]}...'"),
+            (("compare", "2", "--format", X), f"'{X[:40]}...'"),
+            (("oracle", "2", "--inner", AB), f"'{AB[:40]}...'"),
+            (("table", "4", "--kind", X), f"'{X[:40]}...'"),
+            (("decompose", "2", f"--dual={X}"), f"'{X[:40]}...'"),
+        ],
+        ids=[
+            "method",
+            "extra",
+            "command",
+            "method-with-spaces",
+            "many-extras",
+            "many-three-byte-extras",
+            "method-equals",
+            "compare-format",
+            "oracle-inner",
+            "table-kind",
+            "dual-equals",
+        ],
+    )
+    def test_exits_2_with_one_short_line(self, capsys, argv, shown):
+        code, err = usage_error(capsys, *argv)
+        assert code == 2
+        assert err.count("\n") == 1 and err.endswith("\n")
+        assert len(err.encode()) < 200, len(err.encode())
+        assert shown in err
+
+    @pytest.mark.parametrize(
+        "argv, err",
+        [
+            (
+                ("decompose", "2,1", "extra1", "a\nb"),
+                "foulkes: error: unrecognized arguments: extra1 a\\nb\n",
+            ),
+            (
+                ("decompose", "2,1", "--dual=yes"),
+                "foulkes decompose: error: argument --dual: "
+                "ignored explicit argument 'yes'\n",
+            ),
+            (
+                ("oracle", "2", "--inner", "x" * 40),
+                "foulkes oracle: error: argument --inner: "
+                f"invalid choice: '{'x' * 40}' (choose from ",
+            ),
+        ],
+        ids=["extras", "dual-equals", "inner-40"],
+    )
+    def test_short_arguments_are_echoed_whole(self, capsys, argv, err):
+        code, got = usage_error(capsys, *argv)
+        assert code == 2 and got.startswith(err)
+
+
 class TestOracle:
     def test_matches_formula_terms(self, capsys):
         _, formula_out, _ = run(capsys, "decompose", "2,1", "--format", "json")
@@ -312,28 +388,41 @@ class TestCompare:
         assert payload["diff"] == []
         assert payload["formula_terms"] == payload["oracle_terms"]
 
-    def test_forced_disagreement_exits_1(self, capsys, monkeypatch):
+    # The oracle gives s_4 + s_(2,2) for nu = (2). This formula differs on
+    # (4) in value, has (3,1) only on its side and lacks (2,2); the diff
+    # lists exactly those, in canonical order.
+    @staticmethod
+    def _force_formula(monkeypatch):
         monkeypatch.setattr(
             cli,
             "decompose",
-            lambda nu, method, inner: (SchurExpansion({(4,): 1}), "two-row"),
+            lambda nu, method, inner: (SchurExpansion({(4,): 2, (3, 1): 1}), "two-row"),
         )
+
+    def test_forced_disagreement_exits_1(self, capsys, monkeypatch):
+        self._force_formula(monkeypatch)
         code, out, _ = run(capsys, "compare", "2")
         assert code == 1
-        assert "status: disagree" in out
-        assert "formula=" in out and "oracle=" in out
+        assert out.splitlines()[3:] == [
+            "status: disagree",
+            "diff:",
+            "  4  formula=2  oracle=1",
+            "  3,1  formula=1  oracle=0",
+            "  2,2  formula=0  oracle=1",
+            "constituents: 2",
+        ]
 
     def test_forced_disagreement_json(self, capsys, monkeypatch):
-        monkeypatch.setattr(
-            cli,
-            "decompose",
-            lambda nu, method, inner: (SchurExpansion({(4,): 1}), "two-row"),
-        )
+        self._force_formula(monkeypatch)
         code, out, _ = run(capsys, "compare", "2", "--format", "json")
         assert code == 1
         payload = json.loads(out)
         assert payload["agree"] is False
-        assert {"lambda": [2, 2], "formula": 0, "oracle": 1} in payload["diff"]
+        assert payload["diff"] == [
+            {"lambda": [4], "formula": 2, "oracle": 1},
+            {"lambda": [3, 1], "formula": 1, "oracle": 0},
+            {"lambda": [2, 2], "formula": 0, "oracle": 1},
+        ]
 
     def test_oracle_cap_checked_before_the_formula(self, capsys, monkeypatch):
         def formula(nu, method, inner):
@@ -363,10 +452,14 @@ class TestTable:
 
     @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
     def test_forced_mismatch_exits_1(self, capsys, monkeypatch, fmt):
+        # The table of (2,1,1) has six rows, each of multiplicity 1. This
+        # formula has (8) only on its side, differs on (6,1,1) in value,
+        # agrees on four rows and lacks (3,3,2); the mismatches are
+        # exactly those three, in canonical order.
+        formula = {(8,): 2, (6, 1, 1): 2, (5, 3): 1, (5, 2, 1): 1}
+        formula.update({(4, 3, 1): 1, (4, 2, 1, 1): 1})
         monkeypatch.setattr(
-            cli,
-            "decompose",
-            lambda nu: (SchurExpansion({(8,): 2, (5, 3): 1}), "two-column"),
+            cli, "decompose", lambda nu: (SchurExpansion(formula), "two-column")
         )
         argv = ("table", "4", "--kind", "n-2,1,1", "--verify", "--format", fmt)
         code, out, _ = run(capsys, *argv)
@@ -374,13 +467,21 @@ class TestTable:
         if fmt == "json":
             payload = json.loads(out)
             assert payload["verified"] is False
-            assert {"lambda": [8], "table": 0, "formula": 2} in payload["mismatches"]
+            assert payload["mismatches"] == [
+                {"lambda": [8], "table": 0, "formula": 2},
+                {"lambda": [6, 1, 1], "table": 1, "formula": 2},
+                {"lambda": [3, 3, 2], "table": 1, "formula": 0},
+            ]
         elif fmt == "csv":
             rows = out.splitlines()[1:]
-            assert rows and all(row.endswith(";check") for row in rows)
+            assert len(rows) == 6 and all(row.endswith(";check") for row in rows)
         else:
-            assert "verified: MISMATCH" in out
-            assert "  8  table=0  formula=2" in out
+            assert out.splitlines()[-4:] == [
+                "verified: MISMATCH",
+                "  8  table=0  formula=2",
+                "  6,1,1  table=1  formula=2",
+                "  3,3,2  table=1  formula=0",
+            ]
 
     def test_n_outside_ascii_digits_is_a_usage_error(self, capsys):
         # argparse's type=int would read '1_0' as 10
@@ -520,14 +621,13 @@ class TestJsonBytes:
         args = cli._build_parser().parse_args(argv)
         nu = parse_partition(args.nu)
         if args.command == "decompose":
-            inner = "e2" if args.dual else "s2"
-            exp, method = decompose(nu, args.method, inner)
+            exp, method = decompose(nu, args.method, args.inner)
         else:
-            inner, method = args.inner, "oracle"
-            exp = (oracle_plethysm_s2 if inner == "s2" else oracle_plethysm_e2)(nu)
+            method = "oracle"
+            exp = (oracle_plethysm_s2 if args.inner == "s2" else oracle_plethysm_e2)(nu)
         assert payload == {
             "nu": list(nu),
-            "inner": inner,
+            "inner": args.inner,
             "terms": [{"lambda": list(lam), "mult": m} for lam, m in exp.items()],
             "method": method,
         }
@@ -696,6 +796,22 @@ _PIECES = st.one_of(
     st.integers(1, 6000).map(lambda n: "0" * n + "2"),
 )
 _TOKENS = st.lists(_PIECES, max_size=3).map(",".join)
+# Words argparse refuses and echoes: short text, and runs far longer
+# than an error line, with and without spaces.
+_WORDS = st.one_of(
+    st.text(max_size=50),
+    st.integers(41, 100_000).map("x".__mul__),
+    st.integers(11, 20_000).map("a b ".__mul__),
+)
+_OPTIONS = st.sampled_from(
+    [
+        ("decompose", "2,1", "--method"),
+        ("decompose", "2,1", "--format"),
+        ("compare", "2", "--method"),
+        ("oracle", "2", "--inner"),
+        ("table", "4", "--kind"),
+    ]
+)
 _ARGVS = st.one_of(
     st.tuples(st.just("decompose"), _TOKENS, st.sampled_from([(), ("--dual",)])).map(
         lambda a: [a[0], a[1], *a[2]]
@@ -708,6 +824,15 @@ _ARGVS = st.one_of(
         st.sampled_from(TABLE_NU_KINDS),
     ).map(list),
     st.tuples(st.just("lr"), _TOKENS, _TOKENS, _TOKENS).map(list),
+    st.tuples(_OPTIONS, _WORDS).map(lambda a: [*a[0], a[1]]),
+    st.tuples(
+        st.sampled_from(["decompose", "oracle", "compare"]),
+        st.one_of(
+            st.lists(_WORDS, min_size=1, max_size=5),
+            st.integers(1, 20_000).map(lambda n: ["x"] * n),
+        ),
+    ).map(lambda a: [a[0], "2", *a[1]]),
+    _WORDS.map(lambda word: [word]),
 )
 
 
