@@ -81,9 +81,8 @@ def clear_caches() -> None:
     strip tables, the integer power sums of s_nu, the
     Littlewood-Richardson products and the shared copies of their
     shapes, the one-row and one-column bases, their factor products
-    and the alternating sums over them, the oracle results, the
-    conjugates omega_schur has met and the command line's JSON term
-    heads. The memos are
+    and the alternating sums over them, the conjugates omega_schur has
+    met and the command line's JSON term heads. The memos are
     process-global and grow with the sizes asked for; clearing them
     frees that memory and changes no result, the next call only
     computes again.

@@ -26,10 +26,10 @@ from .expansions import SchurExpansion, total_dimension
 from .formulas import (
     METHODS,
     TABLE_NU_KINDS,
+    _table_row,
     decompose,
     table_multiplicity,
     table_nu,
-    table_row_class,
 )
 from .lr import lr_coefficient
 from .oracle import _check_cap, oracle_plethysm_e2, oracle_plethysm_s2
@@ -59,14 +59,8 @@ def _oracle_cap() -> int | None:
     try:
         return _parse_digits(raw)
     except ValueError:
-        pass
-    shown = repr(_clip(raw))
-    digits = raw.strip()[1:]
-    if raw.strip()[:1] == "-" and digits.isascii() and digits.isdigit():
-        raise PartitionParseError(f"FOULKES_MAX_N must not be negative, got {shown}")
-    raise PartitionParseError(
-        f"FOULKES_MAX_N must be an integer in the digits 0-9, got {shown}"
-    )
+        msg = f"FOULKES_MAX_N must be an integer in the digits 0-9, got {_clip(raw)!r}"
+        raise PartitionParseError(msg) from None
 
 
 def _oracle(nu: Partition, inner: str, cap: int | None) -> SchurExpansion:
@@ -190,7 +184,7 @@ def _cmd_table(args: argparse.Namespace, timings: dict) -> tuple[int, Output]:
         {lam: table_multiplicity(lam, kind, n) for lam in generate_partitions(2 * n)}
     )
     rows = [
-        {"lambda": lam, "mult": mult, "class": table_row_class(lam)}
+        {"lambda": lam, "mult": mult, "class": _table_row(lam)}
         for lam, mult in table.items()
     ]
     payload: dict = {"n": n, "kind": kind, "nu": nu, "rows": rows}

@@ -213,6 +213,14 @@ class PowerSumExpansion(_Expansion):
         return self._trusted(data)
 
 
+def _check_basis(basis: type, *values) -> None:
+    """Raise TypeError unless every value is an expansion of basis: read
+    in the other basis, its coefficients give wrong numbers silently."""
+    for f in values:
+        if not isinstance(f, basis):
+            raise TypeError(f"expected a {basis.__name__}, got {type(f).__name__}")
+
+
 @cache
 def _position(n: int) -> dict[Partition, int]:
     """Index of every partition of n in generate_partitions(n)."""
@@ -403,6 +411,7 @@ def powersum_to_schur(f: PowerSumExpansion) -> SchurExpansion:
     >>> powersum_to_schur(PowerSumExpansion({(1, 1): 1}))
     SchurExpansion({(2,): 1, (1, 1): 1})
     """
+    _check_basis(PowerSumExpansion, f)
     n = f.degree
     if n is None:
         return SchurExpansion()
@@ -436,6 +445,7 @@ def omega_schur(f: SchurExpansion) -> SchurExpansion:
     Each conjugate comes from _conjugate_memo, a process-global memo of
     the shapes met so far; clear_caches() empties it.
     """
+    _check_basis(SchurExpansion, f)
     return SchurExpansion._trusted(
         {_conjugate_memo(lam): c for lam, c in f._terms.items()}
     )
@@ -444,4 +454,5 @@ def omega_schur(f: SchurExpansion) -> SchurExpansion:
 def total_dimension(f: SchurExpansion) -> int:
     """Dimension of the character f expands, i.e. sum of mult * dim.
     A sum needs no order, so the terms are read unsorted."""
+    _check_basis(SchurExpansion, f)
     return sum(c * irreducible_dimension(lam) for lam, c in f._terms.items())

@@ -198,10 +198,9 @@ def phi_hook_depth1_closed(n: int) -> SchurExpansion:
         if c:
             acc[lam] = acc.get(lam, 0) + c
     for mu in generate_partitions(2 * n):
-        odd = [p for p in mu if p % 2]
-        if len(odd) == 2 and odd[0] != odd[1]:
+        if _table_row(mu) == "2-odd-distinct":
             acc[mu] = acc.get(mu, 0) + 1
-    return SchurExpansion(acc)
+    return SchurExpansion._trusted(acc)
 
 
 def _addable_pairs(t: Partition) -> set[Partition]:
@@ -251,27 +250,34 @@ def phi_two_one_column_closed(n: int) -> SchurExpansion:
         targets |= _addable_pairs(double_hook(alpha))
     for mu in targets:
         acc[mu] = acc.get(mu, 0) + 1
-    return SchurExpansion(acc)
+    return SchurExpansion._trusted(acc)
 
 
 def table_row_class(lam: Iterable[int]) -> str:
     """Classification label used by the multiplicity table: the odd
     parts of lam decide the row."""
-    lam = as_partition(lam)
+    return _table_row(as_partition(lam))
+
+
+# Table 1's rows, keyed by how often each odd part value occurs in lam,
+# sorted: (1, 1) is two odd parts of different values, (2,) two equal
+# ones. Any other pattern is "other".
+_TABLE_ROWS = {
+    (): "all-even",
+    (1, 1): "2-odd-distinct",
+    (2,): "2-odd-equal",
+    (1, 1, 1, 1): "4-odd-distinct",
+    (1, 1, 2): "4-odd-one-pair",
+    (2, 2): "4-odd-two-pairs",
+}
+
+
+def _table_row(lam: Partition) -> str:
+    """table_row_class for a partition already checked."""
     odd = [p for p in lam if p % 2]
-    if not odd:
-        return "all-even"
-    if len(odd) == 2:
-        return "2-odd-distinct" if odd[0] != odd[1] else "2-odd-equal"
-    if len(odd) == 4:
-        values = sorted(odd.count(v) for v in set(odd))
-        if values == [1, 1, 1, 1]:
-            return "4-odd-distinct"
-        if values == [1, 1, 2]:
-            return "4-odd-one-pair"
-        if values == [2, 2]:
-            return "4-odd-two-pairs"
-    return "other"
+    if len(odd) > 4:  # most partitions, and no row has more
+        return "other"
+    return _TABLE_ROWS.get(tuple(sorted(odd.count(v) for v in set(odd))), "other")
 
 
 def table_nu(kind: str, n: int) -> Partition:
@@ -297,7 +303,7 @@ def table_multiplicity(lam: Iterable[int], kind: str, n: int) -> int:
         raise InvalidShapeError(
             f"lam must have size {_clip_int(2 * n)}, got {_clip_int(sum(lam))}"
         )
-    cls = table_row_class(lam)
+    cls = _table_row(lam)
     if cls == "all-even":
         a = distinct_part_count(lam)
         if hook_kind:

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from functools import cache
 
-from .expansions import SchurExpansion
+from .expansions import SchurExpansion, _check_basis
 from .partitions import Partition, as_partition
 
 
@@ -267,8 +267,7 @@ def schur_multiply(f: SchurExpansion, g: SchurExpansion) -> SchurExpansion:
     Bilinear: the coefficient of s_lam is the sum over (mu, nu) of
     f(mu) * g(nu) * c^lam_{mu, nu}.
     """
-    if not isinstance(f, SchurExpansion) or not isinstance(g, SchurExpansion):
-        raise TypeError("schur_multiply expects two SchurExpansion values")
+    _check_basis(SchurExpansion, f, g)
     # the factor with fewer rows makes the strips, ties go one fixed
     # way; the pairs with one strip shape form one weighted group
     groups: dict[Partition, dict[Partition, int]] = {}

@@ -69,7 +69,6 @@ def _multiply_out(mu: Partition, sign: int) -> tuple[tuple[Partition, int], ...]
     return tuple(acc.items())
 
 
-@cache
 def _oracle(nu: Partition, inner: str) -> SchurExpansion:
     # s_nu is the sum of c_mu p_mu / n! (_class_sums), and each p_r
     # becomes (p_r p_r +- p_2r) / 2. Weighting the brackets of mu by
@@ -91,10 +90,11 @@ def oracle_plethysm_s2(
 ) -> SchurExpansion:
     """Schur expansion of s_nu(s_(2)), computed by brute force.
 
-    Results are cached per nu for the life of the process. Raises
-    ResourceBoundError when |nu| exceeds the cap (DEFAULT_MAX_WEIGHT
-    unless max_weight says otherwise), InvalidShapeError when
-    max_weight is negative, and TypeError when it is not an integer.
+    Each call computes the expansion again from the memoized character
+    columns and power-sum terms. Raises ResourceBoundError when |nu|
+    exceeds the cap (DEFAULT_MAX_WEIGHT unless max_weight says
+    otherwise), InvalidShapeError when max_weight is negative, and
+    TypeError when it is not an integer.
     """
     nu = as_partition(nu)
     _check_cap(nu, max_weight)

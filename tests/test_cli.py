@@ -362,7 +362,9 @@ class TestOracle:
         monkeypatch.setenv("FOULKES_MAX_N", "-1")
         code, out, err = run(capsys, command, "-")
         assert code == 2 and out == ""
-        assert err == "error: FOULKES_MAX_N must not be negative, got '-1'\n"
+        assert err == (
+            "error: FOULKES_MAX_N must be an integer in the digits 0-9, got '-1'\n"
+        )
 
 
 class TestCompare:

@@ -37,6 +37,7 @@ from foulkes.formulas import (
     phi_two_row,
     table_multiplicity,
 )
+from foulkes.lr import schur_multiply
 from foulkes.oracle import oracle_plethysm_s2
 from foulkes.partitions import (
     centralizer_order,
@@ -790,3 +791,28 @@ class TestTotalDimension:
             {lam: irreducible_dimension(lam) for lam in generate_partitions(n)}
         )
         assert total_dimension(f) == math.factorial(n)
+
+
+@pytest.mark.parametrize(
+    "fn, args",
+    [
+        (omega_schur, (PowerSumExpansion({(2,): Fraction(1, 2)}),)),
+        (total_dimension, (PowerSumExpansion({(2,): Fraction(1, 2)}),)),
+        (powersum_to_schur, (SchurExpansion({(2,): 1}),)),
+        (powersum_to_schur, (SchurExpansion(),)),
+        (schur_multiply, (SchurExpansion({(1,): 1}), PowerSumExpansion({(1,): 1}))),
+        (schur_multiply, (PowerSumExpansion({(1,): 1}), SchurExpansion({(1,): 1}))),
+    ],
+    ids=[
+        "omega_schur",
+        "total_dimension",
+        "powersum_to_schur",
+        "powersum_to_schur-empty",
+        "schur_multiply-second",
+        "schur_multiply-first",
+    ],
+)
+def test_wrong_basis_raises(fn, args):
+    # read in the other basis, the coefficients would give wrong values
+    with pytest.raises(TypeError, match="^expected a "):
+        fn(*args)

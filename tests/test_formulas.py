@@ -7,6 +7,7 @@ statistics on hand-checked rows.
 """
 
 import sys
+from collections import Counter
 
 import pytest
 
@@ -245,6 +246,27 @@ class TestTable:
         assert table_row_class((5, 3, 3, 1)) == "4-odd-one-pair"
         assert table_row_class((3, 3, 1, 1)) == "4-odd-two-pairs"
         assert table_row_class((5, 1, 1, 1, 1, 1)) == "other"
+        assert table_row_class((3, 3, 3, 1)) == "other"
+        assert table_row_class((1, 1, 1, 1)) == "other"
+
+    def test_rows_by_definition(self):
+        # Table 1's rows from the number of odd parts and of distinct
+        # odd values, no more than two of each value
+        def row(lam):
+            odd = Counter(p for p in lam if p % 2)
+            count, values = sum(odd.values()), len(odd)
+            if count == 0:
+                return "all-even"
+            if count == 2:
+                return "2-odd-distinct" if values == 2 else "2-odd-equal"
+            if count == 4 and max(odd.values()) <= 2:
+                names = {4: "4-odd-distinct", 3: "4-odd-one-pair", 2: "4-odd-two-pairs"}
+                return names[values]
+            return "other"
+
+        for n in range(11):
+            for lam in generate_partitions(2 * n):
+                assert formulas._table_row(lam) == row(lam), lam
 
     def test_frozen_multiplicities(self):
         assert table_multiplicity((5, 3), "n-2,1,1", 4) == 1

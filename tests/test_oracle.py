@@ -127,11 +127,6 @@ class TestInvariants:
             assert f.degree == 2 * n
             assert all(mult > 0 for _, mult in f.items())
 
-    def test_repeat_calls_hit_cache(self):
-        a = oracle_plethysm_s2((3, 1))
-        b = oracle_plethysm_s2((3, 1))
-        assert a is b
-
 
 class TestResourceCap:
     def test_default_cap_value(self):
