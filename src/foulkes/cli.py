@@ -23,14 +23,7 @@ from typing import NoReturn, Sequence
 
 from .errors import FoulkesError, PartitionParseError, ResourceBoundError
 from .expansions import SchurExpansion, total_dimension
-from .formulas import (
-    METHODS,
-    TABLE_NU_KINDS,
-    _table_row,
-    decompose,
-    table_multiplicity,
-    table_nu,
-)
+from .formulas import METHODS, TABLE_NU_KINDS, _table, decompose, table_nu
 from .lr import lr_coefficient
 from .oracle import _check_cap, oracle_plethysm_e2, oracle_plethysm_s2
 from .partitions import (
@@ -39,15 +32,15 @@ from .partitions import (
     _clip_int,
     _parse_digits,
     format_partition,
-    generate_partitions,
     parse_partition,
 )
 
 Output = dict | list[str]
 
 # Largest n the table command builds. The table runs over every
-# partition of 2n: n = 20 takes 0.86 s at 39 MB, n = 25 4.1 s at 141 MB
-# (Python 3.11.7), and the count grows about 1.4x with each step of n.
+# partition of 2n: a whole table process takes about 0.3 s at 36 MB for
+# n = 20 and 1.3-1.4 s at 130 MB for n = 25 (Python 3.11.7, 2-core VM),
+# and the count grows about 1.4x with each step of n.
 _MAX_TABLE_N = 25
 
 
@@ -180,11 +173,9 @@ def _cmd_table(args: argparse.Namespace, timings: dict) -> tuple[int, Output]:
         raise ResourceBoundError(
             f"table n = {_clip_int(n)} exceeds the limit {_MAX_TABLE_N}"
         )
-    table = SchurExpansion._trusted(
-        {lam: table_multiplicity(lam, kind, n) for lam in generate_partitions(2 * n)}
-    )
+    table, classes = _table(kind, n)
     rows = [
-        {"lambda": lam, "mult": mult, "class": _table_row(lam)}
+        {"lambda": lam, "mult": mult, "class": classes[lam]}
         for lam, mult in table.items()
     ]
     payload: dict = {"n": n, "kind": kind, "nu": nu, "rows": rows}

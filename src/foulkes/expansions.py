@@ -45,10 +45,10 @@ from .partitions import (
     _clip_int,
     _clip_parts,
     _conjugate,
+    _dimension,
     as_partition,
     centralizer_order,
     generate_partitions,
-    irreducible_dimension,
 )
 
 if TYPE_CHECKING:
@@ -455,4 +455,4 @@ def total_dimension(f: SchurExpansion) -> int:
     """Dimension of the character f expands, i.e. sum of mult * dim.
     A sum needs no order, so the terms are read unsorted."""
     _check_basis(SchurExpansion, f)
-    return sum(c * irreducible_dimension(lam) for lam, c in f._terms.items())
+    return sum(c * _dimension(lam) for lam, c in f._terms.items())

@@ -28,6 +28,12 @@ applies omega). Like the other memos of the package these are
 process-global and grow with the sizes asked for;
 foulkes.clear_caches() empties them.
 
+The (n-1, 1) closed form and the table for (n-2, 1, 1) and (n-2, 2)
+are read off one per-row rule. The odd parts of lam, a partition of
+2n, put lam in one row of the paper's Table 1 (_table_row), and
+_row_multiplicity gives that row's multiplicity for each of the three
+nu; _table makes this one pass over every partition of 2n.
+
 Each alternating-sum method covers nu by one shape rule, kept in
 _SHAPE_RULES: at most two rows, at most two columns, or a hook.
 decompose checks a named method against its rule, and its 'auto'
@@ -188,19 +194,10 @@ def phi_hook_depth1_closed(n: int) -> SchurExpansion:
 
     Every doubled partition 2*gamma contributes its number of distinct
     parts minus one, and every partition of 2n with exactly two odd
-    parts of different values contributes once.
+    parts of different values contributes once: the all-even and
+    2-odd-distinct rows of Table 1, read off the same pass as the table.
     """
-    n = _as_size(n, "n", 2)
-    acc: dict[Partition, int] = {}
-    for gamma in generate_partitions(n):
-        lam = double(gamma)
-        c = distinct_part_count(lam) - 1
-        if c:
-            acc[lam] = acc.get(lam, 0) + c
-    for mu in generate_partitions(2 * n):
-        if _table_row(mu) == "2-odd-distinct":
-            acc[mu] = acc.get(mu, 0) + 1
-    return SchurExpansion._trusted(acc)
+    return _table("n-1,1", _as_size(n, "n", 2))[0]
 
 
 def _addable_pairs(t: Partition) -> set[Partition]:
@@ -298,18 +295,42 @@ def table_multiplicity(lam: Iterable[int], kind: str, n: int) -> int:
     """
     lam = as_partition(lam)
     n = sum(table_nu(kind, n))  # checks kind and n; nu has size n
-    hook_kind = kind == "n-2,1,1"
     if sum(lam) != 2 * n:
         raise InvalidShapeError(
             f"lam must have size {_clip_int(2 * n)}, got {_clip_int(sum(lam))}"
         )
-    cls = _table_row(lam)
-    if cls == "all-even":
+    return _row_multiplicity(lam, _table_row(lam), kind)
+
+
+def _table(kind: str, n: int) -> tuple[SchurExpansion, dict[Partition, str]]:
+    """One pass over the partitions lam of 2n for a kind and n already
+    checked: the expansion of the multiplicities _row_multiplicity
+    gives, and the Table 1 row of each lam in it."""
+    mults: dict[Partition, int] = {}
+    rows: dict[Partition, str] = {}
+    for lam in generate_partitions(2 * n):
+        row = _table_row(lam)
+        mult = _row_multiplicity(lam, row, kind)
+        if mult:
+            mults[lam], rows[lam] = mult, row
+    return SchurExpansion._trusted(mults), rows
+
+
+def _row_multiplicity(lam: Partition, row: str, kind: str) -> int:
+    """The multiplicity of s_lam, lam a checked partition of 2n in the
+    given Table 1 row, for nu = (n-2, 1, 1) (kind 'n-2,1,1'), (n-2, 2)
+    ('n-2,2') or, by the paper's corollary, (n-1, 1) ('n-1,1')."""
+    hook_kind = kind == "n-2,1,1"
+    if row == "all-even":
         a = distinct_part_count(lam)
+        if kind == "n-1,1":
+            return a - 1
         if hook_kind:
             return a * (a - 1) // 2 - a + 1
         return a * (a - 2) + count_even_shifts(lam, {4}, {2}) + repeated_part_count(lam)
-    if cls == "2-odd-distinct":
+    if kind == "n-1,1":
+        return 1 if row == "2-odd-distinct" else 0
+    if row == "2-odd-distinct":
         if hook_kind:
             return (
                 count_even_shifts(lam, {3}, {2})
@@ -323,15 +344,15 @@ def table_multiplicity(lam: Iterable[int], kind: str, n: int) -> int:
             + count_even_shifts(lam, {3}, {1, 2})
             - 1
         )
-    if cls == "2-odd-equal":
+    if row == "2-odd-equal":
         if hook_kind:
             return count_even_shifts(lam, {3}, {2}) + count_even_shifts(lam, {2}, {1})
         return 0
-    if cls == "4-odd-distinct":
+    if row == "4-odd-distinct":
         return 3
-    if cls == "4-odd-one-pair":
+    if row == "4-odd-one-pair":
         return 1
-    if cls == "4-odd-two-pairs":
+    if row == "4-odd-two-pairs":
         return 0 if hook_kind else 1
     return 0
 

@@ -222,14 +222,17 @@ def count_even_shifts(
 
 def irreducible_dimension(lam: Iterable[int]) -> int:
     """Number of standard Young tableaux of shape lam (hook length formula)."""
-    lam = as_partition(lam)
-    n = sum(lam)
+    return _dimension(as_partition(lam))
+
+
+def _dimension(lam: Partition) -> int:
+    """irreducible_dimension for a partition already checked."""
     conj = _conjugate(lam)
     denom = 1
     for i, row in enumerate(lam):
         for j in range(row):
             denom *= row - j + conj[j] - i - 1
-    return math.factorial(n) // denom
+    return math.factorial(sum(lam)) // denom
 
 
 def centralizer_order(mu: Iterable[int]) -> int:

@@ -13,8 +13,8 @@ _LABELS = {
     2: "two-row formula vs oracle, n <= 12",
     3: "two-column formula vs oracle, n <= 12",
     4: "hook formulas (both variants) vs oracle, n <= 12",
-    5: "closed depth-one corollaries vs parent formulas, n <= 10",
-    6: "classification table vs parent closed formulas over all labels, n <= 8",
+    5: "closed depth-one corollaries vs parent formulas, n <= 12",
+    6: "classification table vs parent closed formulas over all labels, n <= 12",
     7: "omega duality between the two inner shapes, |nu| <= 11",
     8: "dimension identity and spot totals",
     9: "nonnegativity of every emitted multiplicity",

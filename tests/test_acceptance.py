@@ -95,14 +95,14 @@ def test_criterion_4_hook(n):
             assert phi_hook(n, r, "second") == reference, (n, r, "second")
 
 
-@pytest.mark.parametrize("n", range(2, 11))
+@pytest.mark.parametrize("n", range(2, 13))
 def test_criterion_5_closed_corollaries(n):
     with _timed(5, n):
         assert phi_hook_depth1_closed(n) == phi_two_row(n, 1)
         assert phi_two_one_column_closed(n) == phi_two_column(n, 1)
 
 
-@pytest.mark.parametrize("n", range(3, 9))
+@pytest.mark.parametrize("n", range(3, 13))
 def test_criterion_6_table_hook_kind(n):
     with _timed(6, n):
         reference = phi_hook(n, 2, "first")
@@ -110,7 +110,7 @@ def test_criterion_6_table_hook_kind(n):
             assert table_multiplicity(lam, "n-2,1,1", n) == reference[lam], (n, lam)
 
 
-@pytest.mark.parametrize("n", range(4, 9))
+@pytest.mark.parametrize("n", range(4, 13))
 def test_criterion_6_table_row_kind(n):
     with _timed(6, n):
         reference = phi_two_row(n, 2)

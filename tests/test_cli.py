@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import foulkes
-from foulkes import cli
+from foulkes import cli, partitions
 from foulkes.expansions import SchurExpansion
 from foulkes.formulas import METHODS, TABLE_NU_KINDS, decompose, table_row_class
 from foulkes.oracle import oracle_plethysm_e2, oracle_plethysm_s2
@@ -502,10 +502,12 @@ class TestTable:
     @pytest.mark.parametrize("n", ["26", "100000000000000000000"])
     @pytest.mark.parametrize("kind", TABLE_NU_KINDS)
     def test_n_above_cap_exits_3_before_enumerating(self, capsys, monkeypatch, n, kind):
-        def enumerate_partitions(size):
+        # the memo behind every partition generator, whichever route
+        # the table takes to it
+        def enumerate_partitions(size, cap, gap):
             raise AssertionError(f"partitions of {size} enumerated")
 
-        monkeypatch.setattr(cli, "generate_partitions", enumerate_partitions)
+        monkeypatch.setattr(partitions, "_bounded", enumerate_partitions)
         code, out, err = run(capsys, "table", n, "--kind", kind, "--verify")
         assert code == 3
         assert out == ""

@@ -194,8 +194,18 @@ class TestClosedCorollaries:
             (3, 2, 2, 1): 1,
         }
         assert total_dimension(phi_hook_depth1_closed(4)) == 315
+        # read off the all-even and 2-odd-distinct rows of Table 1 only
+        assert formulas._table("n-1,1", 4)[1] == {
+            (7, 1): "2-odd-distinct",
+            (6, 2): "all-even",
+            (5, 3): "2-odd-distinct",
+            (5, 2, 1): "2-odd-distinct",
+            (4, 3, 1): "2-odd-distinct",
+            (4, 2, 2): "all-even",
+            (3, 2, 2, 1): "2-odd-distinct",
+        }
 
-    @pytest.mark.parametrize("n", range(2, 9))
+    @pytest.mark.parametrize("n", range(2, 13))
     def test_depth_one_matches_two_row(self, n):
         assert phi_hook_depth1_closed(n) == phi_two_row(n, 1)
 
@@ -267,6 +277,18 @@ class TestTable:
         for n in range(11):
             for lam in generate_partitions(2 * n):
                 assert formulas._table_row(lam) == row(lam), lam
+
+    @pytest.mark.parametrize(
+        "kind, n",
+        [("n-2,1,1", n) for n in range(3, 13)] + [("n-2,2", n) for n in range(4, 13)],
+    )
+    def test_scan_matches_table_multiplicity(self, kind, n):
+        # the one pass that phi_hook_depth1_closed and the table command
+        # read, against the public function on every partition of 2n
+        table, rows = formulas._table(kind, n)
+        want = {lam: table_multiplicity(lam, kind, n) for lam in generate_partitions(2 * n)}
+        assert table == SchurExpansion(want)
+        assert rows == {lam: table_row_class(lam) for lam in table}
 
     def test_frozen_multiplicities(self):
         assert table_multiplicity((5, 3), "n-2,1,1", 4) == 1
