@@ -30,8 +30,8 @@ from .partitions import (
     Partition,
     _clip,
     _clip_int,
+    _format,
     _parse_digits,
-    format_partition,
     parse_partition,
 )
 
@@ -89,7 +89,9 @@ def _json(value) -> str:
     if isinstance(value, list):
         return "[" + ", ".join(map(_json, value)) + "]"
     if isinstance(value, SchurExpansion):
-        body = "}, ".join([_json_term_head(lam) + str(m) for lam, m in value.items()])
+        terms = value._terms  # sorted keys, with no tuple of pairs
+        order = sorted(terms, reverse=True)
+        body = "}, ".join([_json_term_head(lam) + str(terms[lam]) for lam in order])
         return f"[{body}}}]" if body else "[]"
     if isinstance(value, bool):
         return "true" if value else "false"
@@ -111,14 +113,14 @@ def _expansion_output(
     terms = exp.items()  # sorted once, for the rows
     if fmt == "csv":
         return ["lambda;mult;table1_class"] + [
-            f"{format_partition(lam)};{mult};" for lam, mult in terms
+            f"{_format(lam)};{mult};" for lam, mult in terms
         ]
     return [
-        f"nu: {format_partition(nu)}",
+        f"nu: {_format(nu)}",
         f"inner: {inner}",
         f"method: {method}",
         "terms:",
-        *(f"  {format_partition(lam)}  {mult}" for lam, mult in terms),
+        *(f"  {_format(lam)}  {mult}" for lam, mult in terms),
         f"constituents: {len(terms)}",
         f"multiplicity: {sum(m for _, m in terms)}",
         f"dimension: {total_dimension(exp)}",
@@ -156,12 +158,12 @@ def _cmd_compare(args: argparse.Namespace, timings: dict) -> tuple[int, Output]:
             "diff": [{"lambda": lam, "formula": a, "oracle": b} for lam, a, b in diff],
         }
     return code, [
-        f"nu: {format_partition(nu)}",
+        f"nu: {_format(nu)}",
         f"inner: {inner}",
         f"method: {method}",
         f"status: {'disagree' if diff else 'agree'}",
         *(["diff:"] if diff else []),
-        *(f"  {format_partition(lam)}  formula={a}  oracle={b}" for lam, a, b in diff),
+        *(f"  {_format(lam)}  formula={a}  oracle={b}" for lam, a, b in diff),
         f"constituents: {len(formula)}",
     ]
 
@@ -190,19 +192,19 @@ def _cmd_table(args: argparse.Namespace, timings: dict) -> tuple[int, Output]:
     code = 1 if mismatches else 0
     if args.format == "json":
         return code, payload
-    cells = [(format_partition(r["lambda"]), r["mult"], r["class"]) for r in rows]
+    cells = [(_format(r["lambda"]), r["mult"], r["class"]) for r in rows]
     if args.format == "csv":
         header = "lambda;mult;table1_class" + (";verified" if args.verify else "")
         verified = (";check" if mismatches else ";ok") if args.verify else ""
         return code, [header] + [f"{lam};{m};{cls}{verified}" for lam, m, cls in cells]
-    lines = [f"n: {n}", f"kind: {kind}", f"nu: {format_partition(nu)}", "rows:"]
+    lines = [f"n: {n}", f"kind: {kind}", f"nu: {_format(nu)}", "rows:"]
     lines.extend(f"  {lam}  {m}  {cls}" for lam, m, cls in cells)
     if args.verify and not mismatches:
         lines.append(f"verified: {len(rows)}/{len(rows)}")
     elif args.verify:
         lines.append("verified: MISMATCH")
         lines.extend(
-            f"  {format_partition(m['lambda'])}  table={m['table']}  "
+            f"  {_format(m['lambda'])}  table={m['table']}  "
             f"formula={m['formula']}"
             for m in mismatches
         )

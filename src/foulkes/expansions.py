@@ -77,9 +77,10 @@ class _Expansion:
     The constructor validates every index partition, every coefficient
     and the common degree. Results built from values that are already
     valid skip that: +, -, unary -, scaling and the power-sum product
-    go through _trusted, which only drops zero coefficients. + and -
-    still raise DegreeMismatchError on operands of two different
-    degrees, and TypeError on operands of two different bases.
+    go through _trusted, which keeps the dict it is given when it holds
+    no zero coefficient. + and - still raise DegreeMismatchError on
+    operands of two different degrees, and TypeError on operands of two
+    different bases.
     """
 
     __slots__ = ("_terms",)
@@ -98,10 +99,25 @@ class _Expansion:
     @classmethod
     def _trusted(cls, terms: dict[Partition, object]):
         """Wrap a dict whose keys are partitions of one size and whose
-        values are already of the basis' coefficient type, dropping zero
-        coefficients and checking nothing."""
+        values are already of the basis' coefficient type, checking
+        nothing.
+
+        The expansion keeps terms itself, not a copy. Only a dict that
+        holds a zero coefficient is copied, less its zeros: deleting
+        them in place would keep the table at its full size, and the
+        alternating sums, whose memo holds them, cancel about a fifth
+        of their terms. So terms must be a dict that nothing else holds
+        or touches again, as at every call: _combine's copy of self's
+        terms, the comprehensions of unary -, scaling, schur_to_powersum
+        and omega_schur, and the dicts that the power-sum product,
+        _divide_exactly, lr.schur_multiply, oracle._oracle and the four
+        builders in formulas (_base, _signed_sum,
+        phi_two_one_column_closed and _table) fill.
+        """
+        if not all(terms.values()):
+            terms = {lam: c for lam, c in terms.items() if c}
         self = cls.__new__(cls)
-        self._terms = {lam: c for lam, c in terms.items() if c}
+        self._terms = terms
         return self
 
     @property

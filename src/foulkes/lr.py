@@ -21,10 +21,10 @@ a strip lies on a lower row than cell j of the strip before. As the
 rule links each strip only to the one before it, chains that reach the
 same shape with the same top cells in their last strip are merged and
 extended once, from whichever source of the group they start (see
-_product_terms). One loop places every strip, whatever its size: cell
-by cell, top first, on the addable rows below the top cell of the strip
-before, with an explicit stack, so no recursion depth grows with the
-strip either.
+_product_terms). A strip of one cell goes straight onto each addable
+row below the top cell of the strip before. One loop places every
+larger strip cell by cell, top first, on those rows, with an explicit
+stack, so no recursion depth grows with the strip either.
 
 The memo of _product_terms, keyed on the group, lives as long as the
 process and holds most of the memory of the closed formulas, so each
@@ -33,7 +33,7 @@ coefficients, where every shape is the one copy kept by _shape.
 schur_multiply adds these shapes as they are, so its results share
 them too. An in-process sweep of the formulas to |nu| = 12 stores
 about 63k terms in 472 groups (110k terms in 2591 entries with one
-entry per pair) and peaks at 18.6 MB RSS (Python 3.11).
+entry per pair) and peaks at 18.8 MB RSS (Python 3.11).
 """
 
 from __future__ import annotations
@@ -170,21 +170,23 @@ def _product_terms(
     r, so every row down to above[0] is closed and every strip scans
     from the row below it.
 
-    One loop places every strip, cell by cell, top first, on the
-    addable rows: row 0 (up to the whole strip), every row below a
-    strictly longer row, and the new row below the shape. Cell j is
-    tried on them in order, from the row of cell j - 1 down, and goes on
-    one that lies below above[j], still has room (the gap to the row
-    above) and leaves enough room on it and the rows below for the
-    need - j - 1 cells still to come. That room check is the only
-    pruning; once it fails it fails on every lower row too, so the loop
-    takes cell j - 1 off and moves it one row down. Taking the rows in
-    order gives every strip once, no branch dies at the bottom of the
-    shape, and the rows down to above[0] are never visited. A placed
-    strip costs about 2.6 steps of the loop when it has two cells and
-    4-6 when it has four or more, so the work grows with the number and
-    the size of the strips, which is why schur_multiply passes the
-    factor with fewer rows as b.
+    The strip goes on the addable rows below above[0]: row 0 (up to
+    the whole strip), every row below a strictly longer row, and the
+    new row below the shape. A strip of one cell, which about a third
+    of the states of a formula sweep add, takes one pass over these
+    rows and puts its cell on each in turn. One loop places every
+    larger strip, cell by cell, top first. Cell j is tried on the rows
+    in order, from the row of cell j - 1 down, and goes on one that
+    lies below above[j], still has room (the gap to the row above) and
+    leaves enough room on it and the rows below for the need - j - 1
+    cells still to come. That room check is the only pruning; once it
+    fails it fails on every lower row too, so the loop takes cell j - 1
+    off and moves it one row down. Taking the rows in order gives every
+    strip once, no branch dies at the bottom of the shape, and the rows
+    down to above[0] are never visited. A placed strip costs about 2.6
+    steps of the loop when it has two cells and 4-6 when it has four or
+    more, so the work grows with the number and the size of the strips,
+    which is why schur_multiply passes the factor with fewer rows as b.
     """
     if not b:
         return tuple(_shape(a) for a, _ in sources), tuple(w for _, w in sources)
@@ -198,12 +200,26 @@ def _product_terms(
         keep = b[i + 1] if i + 1 < len(b) else 0
         merged: dict[tuple[Partition, tuple[int, ...]], int] = {}
         for (shape, above), count in chains.items():
-            # the addable rows below above[0] and free[k], what rows[k] can
-            # still take: row 0 the whole strip, any other the gap to the
-            # row above; upto[k] is what rows[:k + 1] take together
+            # the rows below above[0], x the length of the row above the
+            # first of them: row 0 has room for the whole strip
             start = above[0] + 1
             tail = shape[start:] + (0,)
             x = shape[start - 1] if start else tail[0] + need
+            if need == 1:
+                # one cell: on each addable row of them in turn
+                for r, y in enumerate(tail, start):
+                    if x > y:
+                        lam = shape[:r] + (y + 1,) + shape[r + 1 :]
+                        if keep:
+                            key = (lam, (r,))
+                            merged[key] = merged.get(key, 0) + count
+                        else:
+                            counts[lam] = counts.get(lam, 0) + count
+                    x = y
+                continue
+            # the addable rows and free[k], what rows[k] can still take:
+            # the gap to the row above; upto[k] is what rows[:k + 1] take
+            # together
             rows, free, upto = [], [], []
             total = 0
             for r, y in enumerate(tail, start):

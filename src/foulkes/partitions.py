@@ -340,7 +340,10 @@ def format_partition(lam: Iterable[int]) -> str:
     Parts are always written out in full; exponent shorthand is accepted
     on input but never emitted.
     """
-    lam = as_partition(lam)
-    if not lam:
-        return "-"
-    return ",".join(str(p) for p in lam)
+    return _format(as_partition(lam))
+
+
+def _format(lam: Partition) -> str:
+    """format_partition for a partition already checked, as the package
+    builds them."""
+    return ",".join(map(str, lam)) if lam else "-"

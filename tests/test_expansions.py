@@ -10,7 +10,7 @@ from functools import cache
 import pytest
 from hypothesis import given, strategies as st
 
-from foulkes import expansions
+from foulkes import expansions, formulas
 from foulkes.errors import (
     DegreeMismatchError,
     InvalidShapeError,
@@ -37,7 +37,7 @@ from foulkes.formulas import (
     phi_two_row,
     table_multiplicity,
 )
-from foulkes.lr import schur_multiply
+from foulkes.lr import lr_coefficient, schur_multiply
 from foulkes.oracle import oracle_plethysm_s2
 from foulkes.partitions import (
     centralizer_order,
@@ -229,6 +229,119 @@ class TestTrustedArithmetic:
         assert len(0 * f) == 0
 
 
+class TestTrustedOwnership:
+    """_trusted keeps the dict it is given, so every path through it
+    must hand over a dict of its own: the result shares its terms with
+    no operand and holds no zero, and the operands and memos read the
+    same afterwards."""
+
+    @staticmethod
+    def check(result, *operands):
+        assert all(result._terms is not f._terms for f in operands)
+        assert all(result._terms.values())
+
+    def test_schur_arithmetic(self):
+        f = SchurExpansion({(2,): 1, (1, 1): 2})
+        g = SchurExpansion({(2,): -1, (1, 1): 1})
+        zero = SchurExpansion()
+        self.check(f + g, f, g)
+        self.check(f - g, f, g)
+        self.check(f - f, f)
+        self.check(f + zero, f, zero)
+        self.check(zero - f, f, zero)
+        self.check(-f, f)
+        self.check(3 * f, f)
+        self.check(f * 1, f)
+        self.check(0 * f, f)
+        self.check(omega_schur(f), f)
+        assert f - f == SchurExpansion() and len(f + g) == 1
+        assert f == SchurExpansion({(2,): 1, (1, 1): 2})
+        assert g == SchurExpansion({(2,): -1, (1, 1): 1})
+
+    def test_powersum_arithmetic(self):
+        p = PowerSumExpansion({(2,): 1, (1, 1): Fraction(1, 2)})
+        q = PowerSumExpansion({(2,): -1})
+        self.check(p + q, p, q)
+        self.check(p - p, p)
+        self.check(-p, p)
+        self.check(p * Fraction(2, 3), p)
+        self.check(p * 1, p)
+        self.check(p * p, p)
+        self.check(p * q, p, q)
+        assert p == PowerSumExpansion({(2,): 1, (1, 1): Fraction(1, 2)})
+        assert q == PowerSumExpansion({(2,): -1})
+
+    def test_schur_multiply_with_cancelling_weights(self):
+        # (s_2 - s_11)(s_2 + s_11): the cross pairs make one group whose
+        # weights cancel, and s_22 cancels between s_2^2 and s_11^2
+        f = SchurExpansion({(2,): 1, (1, 1): -1})
+        g = SchurExpansion({(2,): 1, (1, 1): 1})
+        product = schur_multiply(f, g)
+        self.check(product, f, g)
+        assert product == SchurExpansion(
+            {(4,): 1, (3, 1): 1, (2, 1, 1): -1, (1, 1, 1, 1): -1}
+        )
+        # s_21 (s_2 - s_11): the groups of strips (2) and (1, 1) cancel
+        # on (3, 2), (3, 1, 1) and (2, 2, 1)
+        h = SchurExpansion({(2, 1): 1})
+        product = schur_multiply(h, f)
+        expected = {
+            lam: lr_coefficient(lam, (2, 1), (2,)) - lr_coefficient(lam, (2, 1), (1, 1))
+            for lam in generate_partitions(5)
+        }
+        self.check(product, h, f)
+        assert dict(product.items()) == {lam: c for lam, c in expected.items() if c}
+        assert product == SchurExpansion({(4, 1): 1, (2, 1, 1, 1): -1})
+        assert f == SchurExpansion({(2,): 1, (1, 1): -1})
+        unit = SchurExpansion({(): 1})
+        self.check(schur_multiply(h, unit), h, unit)
+
+    def test_basis_changes(self):
+        f = schur_to_powersum((2, 1))
+        g = schur_to_powersum((2, 1))
+        self.check(f, g)
+        back = powersum_to_schur(f)
+        self.check(back, f)
+        assert back == SchurExpansion({(2, 1): 1})
+        self.check(powersum_to_schur(f - g), f, g)
+        assert f == g == schur_to_powersum((2, 1))
+
+    @pytest.mark.parametrize(
+        "nu, method",
+        [
+            ((4,), "two-row"),
+            ((3, 2), "auto"),
+            ((1, 1, 1, 1), "two-column"),
+            ((2, 2, 1), "auto"),
+            ((3, 1, 1), "auto"),
+            ((3, 1, 1), "hook-second"),
+        ],
+    )
+    def test_decompose(self, nu, method):
+        n = sum(nu)
+        factors = [
+            formulas._factor_product(a, n - a, kind)
+            for a in range(n + 1)
+            for kind in ("hh", "ee", "he")
+        ]
+        before = [dict(f._terms) for f in factors]
+        s2, _ = decompose(nu, method)
+        e2, _ = decompose(nu, method, "e2")
+        self.check(s2, *factors)
+        self.check(e2, s2, *factors)
+        assert [f._terms for f in factors] == before
+
+    @pytest.mark.parametrize("nu", [(3, 3), (2, 2, 2), (4, 1, 1), (5,), (1,) * 5])
+    def test_memo_values_stay_put(self, nu):
+        first, method = decompose(nu)
+        terms = dict(first._terms)
+        e2, _ = decompose(nu, inner="e2")
+        again, _ = decompose(nu)
+        assert first == again and first._terms == terms
+        assert e2 == omega_schur(again)
+        assert decompose(nu, inner="e2")[0] == e2
+
+
 class TestPowerSumExpansion:
     def test_coerces_to_fraction(self):
         f = PowerSumExpansion({(2,): 1})
@@ -283,7 +396,8 @@ class TestPowerSumExpansion:
         )
     )
     def test_trusted_matches_validating_constructor(self, d):
-        got, want = PowerSumExpansion._trusted(d), PowerSumExpansion(d)
+        # _trusted keeps the dict it is given, so it gets a copy of d
+        got, want = PowerSumExpansion._trusted(dict(d)), PowerSumExpansion(d)
         assert got == want
         assert got.items() == want.items()
         assert got.degree == want.degree
@@ -703,8 +817,9 @@ class TestIntegerBasisChange:
 
     @given(integer_powersum_combinations())
     def test_int_valued_input_matches_fraction_valued(self, combo):
-        # the oracle passes int coefficients, built through _trusted
-        got = powersum_to_schur(PowerSumExpansion._trusted(combo))
+        # the oracle passes int coefficients, built through _trusted,
+        # which keeps the dict it is given: so a copy of combo
+        got = powersum_to_schur(PowerSumExpansion._trusted(dict(combo)))
         assert got.items() == powersum_to_schur(PowerSumExpansion(combo)).items()
         assert all(type(c) is int for _, c in got.items())
 

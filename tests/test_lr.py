@@ -132,6 +132,16 @@ def chain_product_terms(a, b):
     return tuple(order), tuple(counts[lam] for lam in order)
 
 
+def weighted_chain_terms(sources, b):
+    """The sum of w * s_a * s_b over the (a, w) in sources, as a dict of
+    its non-zero terms, from one chain walk per source."""
+    expected = Counter()
+    for a, w in sources:
+        for lam, c in zip(*chain_product_terms(a, b)):
+            expected[lam] += w * c
+    return {lam: c for lam, c in expected.items() if c}
+
+
 class TestAgainstBruteForce:
     def test_frozen_values(self):
         assert brute_lr((3, 2, 1), (2, 1), (2, 1)) == 2
@@ -299,12 +309,8 @@ class TestWeightedGroups:
         assert shapes == tuple(sorted(set(shapes), reverse=True))
         assert all(type(c) is int and c for c in coefficients)
         assert all(lam is _shape(lam) for lam in shapes)
-        expected = Counter()
-        for a, w in sources:
-            for lam, c in zip(*chain_product_terms(a, b)):
-                expected[lam] += w * c
         got = dict(zip(shapes, coefficients))
-        assert got == {lam: c for lam, c in expected.items() if c}
+        assert got == weighted_chain_terms(sources, b)
         total = sum(sources[0][0]) + sum(b)
         for lam in generate_partitions(total):
             assert got.get(lam, 0) == sum(
@@ -363,10 +369,11 @@ def deep_weighted_groups(draw):
 
 
 class TestStripKernel:
-    """One loop places every strip cell by cell, on the rows below the
-    top cell of the strip before. Every strip shape against every source
-    of the size, a = () and deeper ones included, past the
-    |a| + |b| <= 11 of TestEnginesAgree."""
+    """A one-cell strip goes straight onto each row below the top cell
+    of the strip before, and one loop places every larger strip cell by
+    cell on those rows. Every strip shape against every source of the
+    size, a = () and deeper ones included, past the |a| + |b| <= 11 of
+    TestEnginesAgree."""
 
     @pytest.mark.parametrize("total", range(1, 14))
     def test_matches_chain_walk(self, total):
@@ -396,18 +403,38 @@ class TestStripKernel:
     @example(((((3,), 1), ((2, 1), 3), ((1, 1, 1), -2)), (2, 2, 1)))
     # and strips of three cells over sources of different lengths
     @example(((((3,), -1), ((2, 1), 2)), (3, 3)))
+    # one-cell strips placed directly: kept (keep 1) and last (keep 0)
+    @example(((((3, 1), 2), ((2, 2), -1), ((2, 1, 1), 3)), (1, 1)))
+    @example(((((3,), 1), ((2, 1), -2), ((1, 1, 1), 1)), (2, 1, 1)))
+    @example(((((2, 2), 1), ((2, 1, 1), -1), ((1, 1, 1, 1), 2)), (3, 1)))
+    # s_2 s_11 - s_11 s_11: the two sources cancel on (2, 1, 1)
+    @example(((((2,), 1), ((1, 1), -1)), (1, 1)))
+    @example(((((), 1),), (1,)))
+    @example(((((), 1),), (1, 1, 1)))
     def test_weighted_groups(self, key):
         sources, b = key
         got = dict(zip(*_product_terms(sources, b)))
-        expected = Counter()
-        for a, w in sources:
-            for lam, c in zip(*chain_product_terms(a, b)):
-                expected[lam] += w * c
-        assert got == {lam: c for lam, c in expected.items() if c}
+        assert got == weighted_chain_terms(sources, b)
         for lam in generate_partitions(sum(sources[0][0]) + sum(b)):
             assert got.get(lam, 0) == sum(
                 w * lr_coefficient(lam, a, b) for a, w in sources
             ), (lam, sources, b)
+
+    @pytest.mark.parametrize("total", range(1, 11))
+    def test_one_cell_strips_from_weighted_sources(self, total):
+        # every strip shape ending in one-cell strips, against all the
+        # sources of the size at once, their weights cycling through
+        # -2, 1, 3, -1, 2
+        for k in range(1, total + 1):
+            for b in generate_partitions(k):
+                if b[-1] != 1:
+                    continue
+                sources = tuple(
+                    (a, (-2, 1, 3, -1, 2)[i % 5])
+                    for i, a in enumerate(generate_partitions(total - k))
+                )
+                got = dict(zip(*_product_terms(sources, b)))
+                assert got == weighted_chain_terms(sources, b), (sources, b)
 
     def test_hand_checked_last_strips(self):
         # s_2 * s_11 = s_31 + s_211: the second strip's cell may not go
