@@ -109,10 +109,11 @@ class _Expansion:
         of their terms. So terms must be a dict that nothing else holds
         or touches again, as at every call: _combine's copy of self's
         terms, the comprehensions of unary -, scaling, schur_to_powersum
-        and omega_schur, and the dicts that the power-sum product,
-        _divide_exactly, lr.schur_multiply, oracle._oracle and the four
-        builders in formulas (_base, _signed_sum,
-        phi_two_one_column_closed and _table) fill.
+        and omega_schur, the dict literals of oracle._multiply_out, and
+        the dicts that the power-sum product, _divide_exactly,
+        lr.schur_multiply, oracle._oracle and the four builders in
+        formulas (_base, _signed_sum, phi_two_one_column_closed and
+        _table) fill.
         """
         if not all(terms.values()):
             terms = {lam: c for lam, c in terms.items() if c}
@@ -209,7 +210,8 @@ class PowerSumExpansion(_Expansion):
 
     Coefficients and scalars become Fractions, and a float is rejected.
     Besides the arithmetic, schur_to_powersum builds its Fraction-valued
-    ones through _trusted, and the oracle int-valued ones that it only
+    ones through _trusted, and the oracle int-valued ones: brackets it
+    multiplies together, which keeps the coefficients ints, and sums it
     passes to powersum_to_schur, which reads any coefficient through its
     numerator and denominator. Two power-sum expansions multiply as
     p_mu * p_nu = p_(mu union nu); the degrees add.

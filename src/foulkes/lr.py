@@ -3,11 +3,12 @@
 Two independent enumerations live here on purpose. lr_coefficient
 counts fillings of a fixed skew shape straight from the definition,
 visiting cells in reverse reading order (right to left within a row,
-top row first) with an explicit stack, so the lattice-word constraint
-can be checked exactly at every step and no recursion depth grows with
-the number of cells. schur_multiply expands whole products through
-chains of horizontal strips (_product_terms), which only ever visits
-result partitions with a nonzero coefficient; the test suite
+top row first) with an explicit stack of entry ranges, one iterator
+per filled cell and one for the cell being tried, so the lattice-word
+constraint can be checked exactly at every step and no recursion depth
+grows with the number of cells. schur_multiply expands whole products
+through chains of horizontal strips (_product_terms), which only ever
+visits result partitions with a nonzero coefficient; the test suite
 cross-checks the two engines against each other.
 
 The strip enumeration costs more with every strip, so for each pair
@@ -39,6 +40,7 @@ entry per pair) and peaks at 18.8 MB RSS (Python 3.11).
 from __future__ import annotations
 
 from functools import cache
+from typing import Iterator
 
 from .expansions import SchurExpansion, _check_basis
 from .partitions import Partition, as_partition
@@ -77,47 +79,40 @@ def lr_coefficient(
     counts = [0] * (k + 1)
     grid: dict[tuple[int, int], int] = {}
 
-    def bounds(idx: int) -> tuple[int, int]:
+    def entries(idx: int) -> Iterator[int]:
         # entries weakly increase to the right, strictly down a column,
         # and a lattice word's letter at position idx is at most idx + 1
         # (one more than the letters before it), so no cell scans past it
         r, c = cells[idx]
-        right = grid.get((r, c + 1))
-        above = grid.get((r - 1, c)) if r else None
-        return (
-            above + 1 if above is not None else 1,
-            min(right if right is not None else k, idx + 1),
-        )
+        high = min(grid.get((r, c + 1), k), idx + 1)
+        return iter(range(grid.get((r - 1, c), 0) + 1, high + 1))
 
-    # Depth-first over the cells with an explicit stack: next_entry[idx]
-    # is the smallest entry still to try at cells[idx], high[idx] the
-    # largest allowed there.
+    # Depth-first over the cells with an explicit stack of entry ranges:
+    # stack[idx] iterates over the entries still to try at cells[idx],
+    # one per filled cell and one for the cell being tried, the last;
+    # the for loop below picks each up where it stopped.
     last = len(cells) - 1
-    next_entry = [0] * len(cells)
-    high = [0] * len(cells)
-    next_entry[0], high[0] = bounds(0)
+    stack = [entries(0)]
     total = 0
-    idx = 0
-    while idx >= 0:
-        for e in range(next_entry[idx], high[idx] + 1):
+    while stack:
+        idx = len(stack) - 1
+        for e in stack[idx]:
             # content nu, and the lattice word: after placing, count(e)
             # may not exceed count(e-1)
             if counts[e] < nu[e - 1] and (e == 1 or counts[e] < counts[e - 1]):
                 break
         else:
             # nothing fits here: back up and take the previous entry out
-            idx -= 1
-            if idx >= 0:
-                counts[grid.pop(cells[idx])] -= 1
+            stack.pop()
+            if idx:
+                counts[grid.pop(cells[idx - 1])] -= 1
             continue
-        next_entry[idx] = e + 1
         if idx == last:  # a complete filling
             total += 1
             continue
         counts[e] += 1
         grid[cells[idx]] = e
-        idx += 1
-        next_entry[idx], high[idx] = bounds(idx)
+        stack.append(entries(idx + 1))
     return total
 
 

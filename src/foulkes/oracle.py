@@ -4,8 +4,9 @@ Expands s_nu(s_(2)) and s_nu(s_(1,1)) from first principles: write
 s_nu in the power-sum basis, substitute each p_r by its plethysm with
 the inner function, multiply out, and convert back to the Schur basis.
 All of it runs in integers: s_nu's power sums over |nu|! and the
-brackets (p_r p_r +- p_2r) / 2 over 2^|nu|, so the public
-powersum_to_schur gets |nu|! 2^|nu| times the plethysm with int
+brackets (p_r p_r +- p_2r) / 2 over 2^|nu|, multiplied out by the
+public power-sum product of int-valued PowerSumExpansions, so the
+public powersum_to_schur gets |nu|! 2^|nu| times the plethysm with int
 coefficients, and one exact division per s_lam ends it.
 The only shared code with the formula side is the basic partition and
 expansion types; in particular nothing here touches the
@@ -56,17 +57,14 @@ def _check_cap(nu: Partition, max_weight: int | None) -> None:
 @cache
 def _multiply_out(mu: Partition, sign: int) -> tuple[tuple[Partition, int], ...]:
     """prod_r (p_r p_r + sign * p_2r) over the parts r of mu, as integer
-    coefficients keyed by the sorted parts of each power-sum product."""
-    acc: dict[Partition, int] = {(): 1}
+    coefficients keyed by the sorted parts of each power-sum product.
+
+    Each bracket is an int-valued PowerSumExpansion, and the public
+    power-sum product multiplies them out, in ints."""
+    acc = PowerSumExpansion._trusted({(): 1})
     for r in mu:
-        step: dict[Partition, int] = {}
-        for key, c in acc.items():
-            pair = tuple(sorted(key + (r, r), reverse=True))
-            step[pair] = step.get(pair, 0) + c
-            double = tuple(sorted(key + (2 * r,), reverse=True))
-            step[double] = step.get(double, 0) + sign * c
-        acc = {key: c for key, c in step.items() if c}
-    return tuple(acc.items())
+        acc = acc * PowerSumExpansion._trusted({(r, r): 1, (2 * r,): sign})
+    return tuple(acc._terms.items())
 
 
 def _oracle(nu: Partition, inner: str) -> SchurExpansion:

@@ -122,8 +122,9 @@ def double_hook(alpha: Iterable[int]) -> Partition:
     """The partition of 2n built from a distinct-part partition of n.
 
     Its i-th part is alpha_i + i and its i-th leading diagonal hook
-    length is 2 * alpha_i; below the diagonal it is determined by the
-    column heights alpha_i + i - 1. Raises RepeatedPartsError unless
+    length is 2 * alpha_i. Its first len(alpha) columns have heights
+    alpha_i + i - 1, so its rows below the first len(alpha) are those
+    of the conjugate of these heights. Raises RepeatedPartsError unless
     the parts of alpha are pairwise distinct.
 
     >>> double_hook((5, 2, 1))
@@ -132,13 +133,8 @@ def double_hook(alpha: Iterable[int]) -> Partition:
     a = as_partition(alpha)
     if len(set(a)) != len(a):
         raise RepeatedPartsError(f"parts must be distinct, got {_clip_parts(a)}")
-    k = len(a)
-    if k == 0:
-        return ()
-    rows = [a[i] + i + 1 for i in range(k)]
-    heights = [a[j] + j for j in range(k)]
-    rows.extend(sum(1 for h in heights if h > r) for r in range(k, heights[0]))
-    return tuple(rows)
+    heights = tuple(p + j for j, p in enumerate(a))
+    return tuple(h + 1 for h in heights) + _conjugate(heights)[len(a) :]
 
 
 def conjugate(lam: Iterable[int]) -> Partition:
@@ -201,6 +197,11 @@ def count_even_shifts(
     parts count once. The values must be integer types, as parts are.
     Raises EmptyIncludeSetError when include is empty (the count would
     be infinite).
+
+    A counted shift 2k moves min(include) onto a part value, so each
+    distinct part names at most one shift to test: past reading lam,
+    the cost grows with the number of distinct parts times that of the
+    include and exclude values, not with the size of the parts.
     """
     lam = as_partition(lam)
     inc = set(map(operator.index, include))
@@ -208,15 +209,12 @@ def count_even_shifts(
     if not inc:
         raise EmptyIncludeSetError("include set must be nonempty for a finite count")
     values = set(lam)
-    if not values:
-        return 0
-    top = (max(values) - min(inc)) // 2
+    low = min(inc)
     count = 0
-    for k in range(top + 1):
-        if all(x + 2 * k in values for x in inc) and not any(
-            y + 2 * k in values for y in exc
-        ):
-            count += 1
+    for v in values:
+        shift = v - low  # the one shift 2k that moves low onto v
+        if shift >= 0 and shift % 2 == 0 and all(x + shift in values for x in inc):
+            count += not any(y + shift in values for y in exc)
     return count
 
 

@@ -7,10 +7,12 @@ outputs and internal algebra.
 """
 
 import ast
+import itertools
 import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -72,13 +74,32 @@ class TestPowerSumSubstitution:
     def test_integer_multiply_out_matches_factor_product(self, n):
         # The oracle multiplies out 2 * p_r(h_2) or 2 * p_r(e_2) in
         # integers; the product of the PowerSumExpansion factors is the
-        # reference.
+        # reference. Both go through the power-sum product, so this
+        # checks the scaling of the brackets;
+        # test_multiply_out_matches_subset_expansion checks the product.
         for mu in generate_partitions(n):
             for factor, sign in ((p_plethysm_h2, 1), (p_plethysm_e2, -1)):
                 reference = PowerSumExpansion({(): 1})
                 for r in mu:
                     reference = reference * (2 * factor(r))
                 assert PowerSumExpansion(_multiply_out(mu, sign)) == reference, mu
+
+    @pytest.mark.parametrize("n", range(0, 9))
+    def test_multiply_out_matches_subset_expansion(self, n):
+        # prod_r (p_r p_r + sign * p_2r) term by term: the parts of mu in
+        # a subset S double, the others pair, and the term has weight
+        # sign^|S|; shares no code with the power-sum product
+        for mu in generate_partitions(n):
+            for sign in (1, -1):
+                reference = Counter()
+                for doubled in itertools.product((False, True), repeat=len(mu)):
+                    parts = []
+                    for r, d in zip(mu, doubled):
+                        parts.extend((2 * r,) if d else (r, r))
+                    key = tuple(sorted(parts, reverse=True))
+                    reference[key] += sign ** sum(doubled)
+                expected = {key: c for key, c in reference.items() if c}
+                assert dict(_multiply_out(mu, sign)) == expected, (mu, sign)
 
 
 class TestSmallExpansions:
@@ -230,3 +251,14 @@ def test_oracle_route_imports_neither_lr_nor_formulas(module):
         if parts[0] == "foulkes":
             parts = parts[1:]
         assert parts[:1] not in (["lr"], ["formulas"]), (module, name)
+
+
+def test_package_imports_only_the_standard_library():
+    # the package is stdlib-only: every import, lazy ones included, names
+    # a standard module, __future__ or the package itself
+    src = Path(foulkes.__file__).parent
+    own = {"", "foulkes"} | {path.stem for path in src.glob("*.py")}
+    allowed = set(sys.stdlib_module_names) | {"__future__"} | own
+    for path in sorted(src.glob("*.py")):
+        for name in imported_modules(path):
+            assert name.split(".")[0] in allowed, (path.name, name)

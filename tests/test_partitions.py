@@ -7,6 +7,7 @@ enumeration for dimensions).
 """
 
 import math
+import time
 import tracemalloc
 from functools import cache
 
@@ -20,6 +21,7 @@ from foulkes.errors import (
     ResourceBoundError,
 )
 from foulkes import partitions
+from foulkes.formulas import table_multiplicity
 from foulkes.partitions import (
     _MAX_PARSED_SIZE,
     _clip_int,
@@ -150,8 +152,11 @@ class TestDoubling:
         with pytest.raises(RepeatedPartsError):
             double_hook((2, 2))
 
-    @pytest.mark.parametrize("n", range(0, 9))
+    @pytest.mark.parametrize("n", range(0, 21))
     def test_double_hook_properties(self, n):
+        # double_hook(alpha) is (alpha_1, ..., alpha_k | alpha_1 - 1, ...,
+        # alpha_k - 1) in Frobenius coordinates: k diagonal cells, and
+        # diagonal cell i has arm alpha_i and leg alpha_i - 1
         seen = set()
         for alpha in generate_distinct_partitions(n):
             mu = double_hook(alpha)
@@ -159,6 +164,11 @@ class TestDoubling:
             assert mu not in seen
             seen.add(mu)
             assert _diagonal_hook_lengths(mu) == double(alpha)
+            conj = conjugate(mu)
+            k = len(alpha)
+            assert sum(1 for i, p in enumerate(mu) if p > i) == k, alpha
+            assert [mu[i] - i - 1 for i in range(k)] == list(alpha), alpha
+            assert [conj[i] - i - 1 for i in range(k)] == [a - 1 for a in alpha], alpha
 
     @pytest.mark.parametrize("n", range(0, 8))
     def test_double_hook_image_characterization(self, n):
@@ -256,16 +266,32 @@ class TestStatistics:
         with pytest.raises(EmptyIncludeSetError):
             count_even_shifts((3, 1), (), (2,))
 
-    @given(partitions_of(12), st.sets(st.integers(1, 8), min_size=1, max_size=3))
-    def test_count_even_shifts_matches_direct_scan(self, lam, include):
+    @given(
+        partitions_of(12),
+        st.sets(st.integers(-4, 8), min_size=1, max_size=3),
+        st.sets(st.integers(-4, 8), max_size=3),
+    )
+    def test_count_even_shifts_matches_direct_scan(self, lam, include, exclude):
+        # every shift 2k that can move min(include) onto a part, k up to
+        # (max(lam) + 4) / 2 <= max(lam) + 2
         values = set(lam)
         top = max(values, default=0)
         direct = sum(
             1
-            for k in range(top + 1)
+            for k in range(top + 3)
             if all(x + 2 * k in values for x in include)
+            and not any(y + 2 * k in values for y in exclude)
         )
-        assert count_even_shifts(lam, tuple(include), ()) == direct
+        assert count_even_shifts(lam, tuple(include), tuple(exclude)) == direct
+
+    def test_count_even_shifts_cost_is_in_the_distinct_parts(self):
+        # a scan over every shift up to the largest part never ends on
+        # these; one test per distinct part returns at once
+        start = time.perf_counter()
+        assert count_even_shifts((10**18,), {2}) == 1
+        assert count_even_shifts((10**18, 10**18 - 2, 4, 2), {2, 4}, {6}) == 2
+        assert table_multiplicity((2 * 10**18,), "n-2,2", 10**18) == 0
+        assert time.perf_counter() - start < 1
 
 
 class TestDimension:
