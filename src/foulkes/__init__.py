@@ -82,10 +82,11 @@ def clear_caches() -> None:
     Littlewood-Richardson products and the shared copies of their
     shapes, the one-row and one-column bases, their factor products
     and the alternating sums over them, the conjugates omega_schur has
-    met and the command line's JSON term heads. The memos are
-    process-global and grow with the sizes asked for; clearing them
-    frees that memory and changes no result, the next call only
-    computes again.
+    met, and the command line's JSON term heads and argparse parser
+    (_build_parser, built only for an argv its own reader leaves). The
+    memos are process-global and grow with the sizes asked for;
+    clearing them frees that memory and changes no result, the next
+    call only computes again.
     """
     for name, module in list(sys.modules.items()):
         if module is not None and (name == __name__ or name.startswith(__name__ + ".")):

@@ -6,6 +6,10 @@ depth-two shapes), lr (a single Littlewood-Richardson coefficient).
 decompose, oracle and compare read the inner shape as args.inner,
 which --dual sets to e2. compare and table --verify diff two
 expansions one way: the shapes of their difference, with both values.
+The subcommands and their arguments are declared once, in _COMMANDS.
+main reads a well-formed argv with _read_argv, so a query loads no
+argparse; -h, usage errors and the other spellings argparse accepts
+go to the argparse parser _build_parser makes of the same table.
 Each subcommand returns a JSON payload or its text or CSV lines, and
 main prints them, a payload through _json, so no subcommand loads
 json. Output is deterministic: identical invocations print identical
@@ -14,11 +18,11 @@ bytes. Timings, when requested, go to stderr.
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 import time
 from functools import cache
+from types import SimpleNamespace
 from typing import NoReturn, Sequence
 
 from .errors import FoulkesError, PartitionParseError, ResourceBoundError
@@ -127,19 +131,19 @@ def _expansion_output(
     ]
 
 
-def _cmd_decompose(args: argparse.Namespace, timings: dict) -> tuple[int, Output]:
+def _cmd_decompose(args: SimpleNamespace, timings: dict) -> tuple[int, Output]:
     nu = parse_partition(args.nu)
     result, method = _timed(timings, "formula", decompose, nu, args.method, args.inner)
     return 0, _expansion_output(nu, args.inner, method, result, args.format)
 
 
-def _cmd_oracle(args: argparse.Namespace, timings: dict) -> tuple[int, Output]:
+def _cmd_oracle(args: SimpleNamespace, timings: dict) -> tuple[int, Output]:
     nu = parse_partition(args.nu)
     result = _timed(timings, "oracle", _oracle, nu, args.inner, _oracle_cap())
     return 0, _expansion_output(nu, args.inner, "oracle", result, args.format)
 
 
-def _cmd_compare(args: argparse.Namespace, timings: dict) -> tuple[int, Output]:
+def _cmd_compare(args: SimpleNamespace, timings: dict) -> tuple[int, Output]:
     nu, inner = parse_partition(args.nu), args.inner
     cap = _oracle_cap()
     _check_cap(nu, cap)  # before the formula, which can take far longer
@@ -168,7 +172,7 @@ def _cmd_compare(args: argparse.Namespace, timings: dict) -> tuple[int, Output]:
     ]
 
 
-def _cmd_table(args: argparse.Namespace, timings: dict) -> tuple[int, Output]:
+def _cmd_table(args: SimpleNamespace, timings: dict) -> tuple[int, Output]:
     n, kind = args.n, args.kind
     nu = table_nu(kind, n)
     if n > _MAX_TABLE_N:
@@ -211,7 +215,7 @@ def _cmd_table(args: argparse.Namespace, timings: dict) -> tuple[int, Output]:
     return code, lines
 
 
-def _cmd_lr(args: argparse.Namespace, timings: dict) -> tuple[int, Output]:
+def _cmd_lr(args: SimpleNamespace, timings: dict) -> tuple[int, Output]:
     lam, mu, nu = (parse_partition(s) for s in (args.lam, args.mu, args.nu))
     value = lr_coefficient(lam, mu, nu)
     if args.format == "json":
@@ -219,50 +223,164 @@ def _cmd_lr(args: argparse.Namespace, timings: dict) -> tuple[int, Output]:
     return 0, [str(value)]
 
 
-def _table_n(text: str) -> int:
-    """table's n: as type=int, in the digits 0-9 only and of any length."""
-    try:
-        return _parse_digits(text)
-    except ValueError:
-        msg = f"invalid 'int' value: {_clip(text)!r}"
-        raise argparse.ArgumentTypeError(msg) from None
+def _with(argument: dict, **kwargs) -> dict:
+    """A one-argument entry of _COMMANDS with more keyword arguments."""
+    return {name: {**given, **kwargs} for name, given in argument.items()}
 
 
-class _Parser(argparse.ArgumentParser):
-    """An argparse parser whose usage errors are one line, as the
-    package's own errors are: the usage summary is left out (-h has it),
-    each argument echoed shows as _clip shows it, and the line stays
-    under 200 bytes however many arguments it echoes."""
+# The arguments more than one subcommand takes, each as {name: keyword
+# arguments of argparse's add_argument}.
+_NU = {"nu": {}}
+_METHOD = {"--method": {"choices": METHODS, "default": "auto"}}
+_DUAL = {
+    "--dual": {"action": "store_const", "dest": "inner", "const": "e2", "default": "s2"}
+}
+_FORMAT = {"--format": {"choices": ("text", "json", "csv"), "default": "text"}}
+_TEXT_OR_JSON = _with(_FORMAT, choices=("text", "json"))
+_TIMINGS = {"--timings": {"action": "store_true"}}
 
-    def parse_known_args(self, args=None, namespace=None):
-        self._args = sys.argv[1:] if args is None else args  # for error
-        return super().parse_known_args(args, namespace)
+# Every subcommand, once: its handler, its help, its positionals and its
+# options, in the order -h lists them. _read_argv and _build_parser both
+# read this table. table's n is read by _parse_digits.
+_COMMANDS = {
+    "decompose": (
+        _cmd_decompose,
+        "evaluate a closed formula for nu",
+        _with(_NU, help="partition, e.g. 3,1 or 2^2,1 or - for empty"),
+        {
+            **_METHOD,
+            **_with(_DUAL, help="expand s_nu(s_(1,1)) instead"),
+            **_FORMAT,
+            **_with(_TIMINGS, help="print timings to stderr"),
+        },
+    ),
+    "oracle": (
+        _cmd_oracle,
+        "expand by brute force, no closed formula",
+        _NU,
+        {"--inner": {"choices": ("s2", "e2"), "default": "s2"}, **_FORMAT, **_TIMINGS},
+    ),
+    "compare": (
+        _cmd_compare,
+        "run formula and oracle, diff the results",
+        _NU,
+        {**_METHOD, **_DUAL, **_TEXT_OR_JSON, **_TIMINGS},
+    ),
+    "table": (
+        _cmd_table,
+        "closed multiplicity table for depth-two nu",
+        {"n": {"type": _parse_digits}},
+        {
+            "--kind": {"choices": TABLE_NU_KINDS, "required": True},
+            "--verify": {"action": "store_true", "help": "cross-check the formula"},
+            **_FORMAT,
+        },
+    ),
+    "lr": (
+        _cmd_lr,
+        "one Littlewood-Richardson coefficient",
+        {"lam": {"metavar": "lambda"}, "mu": {}, **_NU},
+        _TEXT_OR_JSON,
+    ),
+}
 
-    def parse_args(self, args=None, namespace=None):
-        namespace, extras = self.parse_known_args(args, namespace)
-        if extras:  # argparse's own message joins them whole
-            self._exit_error("unrecognized arguments: " + " ".join(map(_clip, extras)))
-        return namespace
 
-    def error(self, message: str) -> NoReturn:
-        # argparse echoes the one argument at fault whole, as its repr:
-        # an argument, or the value of an --option=value
-        for arg in self._args:
-            for text in (arg, arg.partition("=")[2]):
-                if len(text) > 40:
-                    message = message.replace(repr(text), repr(_clip(text)))
-        self._exit_error(message)
+def _read_argv(argv: Sequence[str]) -> SimpleNamespace | None:
+    """The namespace argparse would return for argv, with the same
+    attributes, when argv takes the one plain form read here; else None.
 
-    def _exit_error(self, message: str) -> NoReturn:
-        line = f"{self.prog}: error: {message}".replace("\n", "\\n")
-        shown = line.encode(errors="backslashreplace")
-        if len(shown) > 196:
-            line = shown[:193].decode(errors="ignore") + "..."
-        self.exit(2, line + "\n")
+    That form is the subcommand, exactly its positionals, none starting
+    with '-' but a lone '-', then options spelled in full, each value
+    one of its choices, every required option given. Everything else
+    (-h, usage errors, abbreviations, --option=value, options before
+    positionals, '--') is left to argparse, so it prints what it prints.
+    """
+    command = _COMMANDS.get(argv[0]) if argv else None
+    if command is None:
+        return None
+    handler, _, positionals, options = command
+    end = 1 + len(positionals)
+    words = argv[1:end]
+    if len(words) < len(positionals) or any(
+        word.startswith("-") and word != "-" for word in words
+    ):
+        return None
+    values = {"command": argv[0], "handler": handler}
+    for option, kwargs in options.items():
+        default = False if kwargs.get("action") == "store_true" else None
+        values[kwargs.get("dest", option[2:])] = kwargs.get("default", default)
+    given = set()
+    rest = iter(argv[end:])
+    for token in rest:
+        kwargs = options.get(token)
+        if kwargs is None:
+            return None
+        action = kwargs.get("action")
+        if action is None:
+            value = next(rest, None)
+            if value not in kwargs["choices"]:
+                return None
+        else:
+            value = kwargs["const"] if action == "store_const" else True
+        values[kwargs.get("dest", token[2:])] = value
+        given.add(token)
+    if any(kw.get("required") and opt not in given for opt, kw in options.items()):
+        return None
+    for (name, kwargs), word in zip(positionals.items(), words):
+        try:
+            values[name] = kwargs.get("type", str)(word)
+        except ValueError:
+            return None
+    return SimpleNamespace(**values)
 
 
 @cache
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser():
+    """The argparse parser of _COMMANDS, built for the first argv
+    _read_argv leaves (-h, a usage error or another spelling)."""
+    import argparse
+
+    def _table_n(text: str) -> int:
+        """table's n: as type=int, in the digits 0-9 only and of any length."""
+        try:
+            return _parse_digits(text)
+        except ValueError:
+            msg = f"invalid 'int' value: {_clip(text)!r}"
+            raise argparse.ArgumentTypeError(msg) from None
+
+    class _Parser(argparse.ArgumentParser):
+        """An argparse parser whose usage errors are one line, as the
+        package's own errors are: the usage summary is left out (-h has
+        it), each argument echoed shows as _clip shows it, and the line
+        stays under 200 bytes however many arguments it echoes."""
+
+        def parse_known_args(self, args=None, namespace=None):
+            self._args = sys.argv[1:] if args is None else args  # for error
+            return super().parse_known_args(args, namespace)
+
+        def parse_args(self, args=None, namespace=None):
+            namespace, extras = self.parse_known_args(args, namespace)
+            if extras:  # argparse's own message joins them whole
+                shown = " ".join(map(_clip, extras))
+                self._exit_error("unrecognized arguments: " + shown)
+            return namespace
+
+        def error(self, message: str) -> NoReturn:
+            # argparse echoes the one argument at fault whole, as its repr:
+            # an argument, or the value of an --option=value
+            for arg in self._args:
+                for text in (arg, arg.partition("=")[2]):
+                    if len(text) > 40:
+                        message = message.replace(repr(text), repr(_clip(text)))
+            self._exit_error(message)
+
+        def _exit_error(self, message: str) -> NoReturn:
+            line = f"{self.prog}: error: {message}".replace("\n", "\\n")
+            shown = line.encode(errors="backslashreplace")
+            if len(shown) > 196:
+                line = shown[:193].decode(errors="ignore") + "..."
+            self.exit(2, line + "\n")
+
     parser = _Parser(
         prog="foulkes",
         description=(
@@ -271,50 +389,22 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    d = sub.add_parser("decompose", help="evaluate a closed formula for nu")
-    d.add_argument("nu", help="partition, e.g. 3,1 or 2^2,1 or - for empty")
-    d.add_argument("--method", choices=METHODS, default="auto")
-    dual = dict(action="store_const", dest="inner", const="e2", default="s2")
-    d.add_argument("--dual", **dual, help="expand s_nu(s_(1,1)) instead")
-    d.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    d.add_argument("--timings", action="store_true", help="print timings to stderr")
-    d.set_defaults(handler=_cmd_decompose)
-
-    o = sub.add_parser("oracle", help="expand by brute force, no closed formula")
-    o.add_argument("nu")
-    o.add_argument("--inner", choices=("s2", "e2"), default="s2")
-    o.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    o.add_argument("--timings", action="store_true")
-    o.set_defaults(handler=_cmd_oracle)
-
-    c = sub.add_parser("compare", help="run formula and oracle, diff the results")
-    c.add_argument("nu")
-    c.add_argument("--method", choices=METHODS, default="auto")
-    c.add_argument("--dual", **dual)
-    c.add_argument("--format", choices=("text", "json"), default="text")
-    c.add_argument("--timings", action="store_true")
-    c.set_defaults(handler=_cmd_compare)
-
-    t = sub.add_parser("table", help="closed multiplicity table for depth-two nu")
-    t.add_argument("n", type=_table_n)
-    t.add_argument("--kind", choices=TABLE_NU_KINDS, required=True)
-    t.add_argument("--verify", action="store_true", help="cross-check the formula")
-    t.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    t.set_defaults(handler=_cmd_table)
-
-    lr = sub.add_parser("lr", help="one Littlewood-Richardson coefficient")
-    lr.add_argument("lam", metavar="lambda")
-    lr.add_argument("mu")
-    lr.add_argument("nu")
-    lr.add_argument("--format", choices=("text", "json"), default="text")
-    lr.set_defaults(handler=_cmd_lr)
-
+    for name, (handler, summary, positionals, options) in _COMMANDS.items():
+        command = sub.add_parser(name, help=summary)
+        for arg, kwargs in (*positionals.items(), *options.items()):
+            if "type" in kwargs:  # table's n, whose usage error names int
+                kwargs = {**kwargs, "type": _table_n}
+            command.add_argument(arg, **kwargs)
+        command.set_defaults(handler=handler)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _read_argv(argv)
+    if args is None:  # -h, a usage error or a form only argparse reads
+        args = _build_parser().parse_args(argv)
     timings: dict[str, float] = {}
     try:
         code, output = args.handler(args, timings)

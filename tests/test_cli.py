@@ -577,11 +577,13 @@ def test_import_loads_no_fraction_or_json_module():
     assert proc.stdout == "\n"
 
 
+# Every query the benchmark workloads generate, with its exit code.
+GOLDEN = json.loads(
+    (Path(__file__).resolve().parents[1] / "bench" / "golden.json").read_text()
+)
 GOLDEN_JSON_QUERIES = [
     key.split(" ")
-    for key, (code, _) in json.loads(
-        (Path(__file__).resolve().parents[1] / "bench" / "golden.json").read_text()
-    ).items()
+    for key, (code, _) in GOLDEN.items()
     if key.split(" ")[0] in ("decompose", "oracle") and "--format json" in key and not code
 ]
 
@@ -816,6 +818,28 @@ _OPTIONS = st.sampled_from(
         ("table", "4", "--kind"),
     ]
 )
+_SPELLINGS = [
+    "3,1",
+    "2",
+    "4",
+    "-",
+    "-1",
+    "--",
+    "-h",
+    "--method",
+    "two-row",
+    "--dual",
+    "--inner",
+    "e2",
+    "--format",
+    "json",
+    "--form",
+    "--format=json",
+    "--timings",
+    "--kind",
+    "n-2,2",
+    "--verify",
+]
 _ARGVS = st.one_of(
     st.tuples(st.just("decompose"), _TOKENS, st.sampled_from([(), ("--dual",)])).map(
         lambda a: [a[0], a[1], *a[2]]
@@ -837,6 +861,13 @@ _ARGVS = st.one_of(
         ),
     ).map(lambda a: [a[0], "2", *a[1]]),
     _WORDS.map(lambda word: [word]),
+    # spellings only argparse reads, in any order: an abbreviation, an
+    # --option=value, an option before the partition, a repeated option,
+    # '--', a lone '-' and '-1'; and -h
+    st.tuples(
+        st.sampled_from(["decompose", "oracle", "compare", "table", "lr"]),
+        st.lists(st.sampled_from(_SPELLINGS), max_size=7),
+    ).map(lambda a: [a[0], *a[1]]),
 )
 
 
@@ -858,3 +889,246 @@ class TestArgvFuzz:
         assert len(text) < 200, text
         assert "Traceback" not in text
         assert bool(text) == (code in (2, 3)), (argv, code, text)
+
+
+def _argparse_reads(argv):
+    """vars() of argparse's namespace for argv, or None when argparse
+    exits instead (a usage error, or -h)."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(
+        io.StringIO()
+    ):
+        try:
+            return vars(cli._build_parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+
+class TestReader:
+    """main reads a well-formed argv with cli._read_argv and leaves the
+    rest to argparse: the two must agree wherever the reader answers."""
+
+    def test_reads_every_benchmark_query_as_argparse_does(self):
+        argvs = [key.split(" ") for key in GOLDEN]
+        unread = [argv for argv in argvs if cli._read_argv(argv) is None]
+        assert unread == []
+        differ = [
+            argv
+            for argv in argvs
+            if vars(cli._read_argv(argv)) != _argparse_reads(argv)
+        ]
+        assert differ == []
+
+    @settings(max_examples=300, deadline=None)
+    @given(_ARGVS)
+    def test_agrees_with_argparse(self, argv):
+        # None from argparse (it exits) must meet None from the reader
+        namespace = cli._read_argv(argv)
+        if namespace is not None:
+            assert vars(namespace) == _argparse_reads(argv)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["decompose", "2,1", "--form", "json"],
+            ["decompose", "2,1", "--format=json"],
+            ["decompose", "--dual", "2,1"],
+            ["decompose", "--", "2,1"],
+            ["decompose", "-1"],
+            ["decompose", "2,1", "-h"],
+            ["table", "--kind", "n-2,2", "4"],
+            ["table", "4"],
+            ["table", "1_0", "--kind", "n-2,2"],
+            ["lr", "3", "--format", "json", "2", "1"],
+            ["oracle", "2", "--inner"],
+            ["oracle", "2", "--inner", "-"],
+            ["compare", "2", "--format", "csv"],
+            ["decompose", "2,1", "extra"],
+            ["decompose"],
+            [],
+        ],
+        ids=repr,
+    )
+    def test_leaves_other_forms_to_argparse(self, argv):
+        assert cli._read_argv(argv) is None
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["oracle", "-"],
+            ["decompose", "2,1", "--format", "json", "--format", "csv"],
+            ["decompose", "2,1", "--timings", "--dual", "--timings"],
+            ["table", " 5 ", "--verify", "--kind", "n-2,1,1"],
+            ["lr", "", "2", "1", "--format", "json"],
+        ],
+        ids=repr,
+    )
+    def test_reads_plain_forms(self, argv):
+        namespace = cli._read_argv(argv)
+        assert namespace is not None
+        assert vars(namespace) == _argparse_reads(argv)
+
+
+# What -h prints at 80 columns, for the program and each subcommand.
+_HELP = {
+    "": """\
+usage: foulkes [-h] {decompose,oracle,compare,table,lr} ...
+
+Decompose the plethysms s_nu(s_(2)) and s_nu(s_(1,1)) into Schur functions,
+exactly.
+
+positional arguments:
+  {decompose,oracle,compare,table,lr}
+    decompose           evaluate a closed formula for nu
+    oracle              expand by brute force, no closed formula
+    compare             run formula and oracle, diff the results
+    table               closed multiplicity table for depth-two nu
+    lr                  one Littlewood-Richardson coefficient
+
+options:
+  -h, --help            show this help message and exit
+""",
+    "decompose": """\
+usage: foulkes decompose [-h]
+                         [--method {auto,two-row,two-column,hook-first,hook-second,base}]
+                         [--dual] [--format {text,json,csv}] [--timings]
+                         nu
+
+positional arguments:
+  nu                    partition, e.g. 3,1 or 2^2,1 or - for empty
+
+options:
+  -h, --help            show this help message and exit
+  --method {auto,two-row,two-column,hook-first,hook-second,base}
+  --dual                expand s_nu(s_(1,1)) instead
+  --format {text,json,csv}
+  --timings             print timings to stderr
+""",
+    "oracle": """\
+usage: foulkes oracle [-h] [--inner {s2,e2}] [--format {text,json,csv}]
+                      [--timings]
+                      nu
+
+positional arguments:
+  nu
+
+options:
+  -h, --help            show this help message and exit
+  --inner {s2,e2}
+  --format {text,json,csv}
+  --timings
+""",
+    "compare": """\
+usage: foulkes compare [-h]
+                       [--method {auto,two-row,two-column,hook-first,hook-second,base}]
+                       [--dual] [--format {text,json}] [--timings]
+                       nu
+
+positional arguments:
+  nu
+
+options:
+  -h, --help            show this help message and exit
+  --method {auto,two-row,two-column,hook-first,hook-second,base}
+  --dual
+  --format {text,json}
+  --timings
+""",
+    "table": """\
+usage: foulkes table [-h] --kind {n-2,1,1,n-2,2} [--verify]
+                     [--format {text,json,csv}]
+                     n
+
+positional arguments:
+  n
+
+options:
+  -h, --help            show this help message and exit
+  --kind {n-2,1,1,n-2,2}
+  --verify              cross-check the formula
+  --format {text,json,csv}
+""",
+    "lr": """\
+usage: foulkes lr [-h] [--format {text,json}] lambda mu nu
+
+positional arguments:
+  lambda
+  mu
+  nu
+
+options:
+  -h, --help            show this help message and exit
+  --format {text,json}
+""",
+}
+
+
+@pytest.mark.parametrize("command", list(_HELP), ids=lambda c: c or "foulkes")
+def test_help_prints_the_pinned_bytes(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*command.split(), "-h"])
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out, captured.err) == (0, _HELP[command], "")
+
+
+def _run_isolated(argv):
+    """Run cli.main(argv) in a fresh -S interpreter (so no site hook
+    imports anything first); return its exit code, stdout, stderr and
+    which of argparse, gettext and locale it loaded."""
+    src = str(Path(foulkes.__file__).resolve().parents[1])
+    code = (
+        "import sys, foulkes.cli\n"
+        "try:\n"
+        f"    code = foulkes.cli.main({argv!r})\n"
+        "except SystemExit as exc:\n"
+        "    code = exc.code\n"
+        "loaded = sorted({'argparse', 'gettext', 'locale'} & set(sys.modules))\n"
+        "print(code, *loaded, file=sys.stderr)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env=dict(os.environ, PYTHONPATH=src, COLUMNS="80"),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    *err, status = proc.stderr.split("\n")[:-1]
+    code, *loaded = status.split(" ")
+    return int(code), proc.stdout, "".join(line + "\n" for line in err), loaded
+
+
+# Each subcommand with every one of its options spelled in full.
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["decompose", "3,1", "--method", "auto", "--dual", "--format", "csv"],
+        ["oracle", "3,1", "--inner", "e2", "--format", "json"],
+        ["compare", "2,1", "--method", "two-row", "--dual", "--format", "json"],
+        ["table", "6", "--kind", "n-2,2", "--verify", "--format", "csv"],
+        ["lr", "4,2", "2", "2,2", "--format", "text"],
+    ],
+    ids=" ".join,
+)
+def test_well_formed_query_loads_no_argparse(argv):
+    code, out, err, loaded = _run_isolated(argv)
+    assert (code, err, loaded) == (0, "", [])
+    assert out
+
+
+@pytest.mark.parametrize(
+    "argv, code, out, err",
+    [
+        (
+            ["decompose", "2,1", "extra"],
+            2,
+            "",
+            "foulkes: error: unrecognized arguments: extra\n",
+        ),
+        (["decompose", "-h"], 0, _HELP["decompose"], ""),
+    ],
+    ids=["usage-error", "help"],
+)
+def test_usage_error_and_help_load_argparse(argv, code, out, err):
+    got_code, got_out, got_err, loaded = _run_isolated(argv)
+    assert (got_code, got_out, got_err) == (code, out, err)
+    assert "argparse" in loaded

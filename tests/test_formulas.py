@@ -501,6 +501,8 @@ class TestMemos:
         assert decompose((3, 2), inner="e2")
         assert foulkes.cli.main(["compare", "2,2,1"]) == 0
         assert foulkes.cli.main(["decompose", "3,1", "--format", "json"]) == 0
+        # an abbreviation, which only the argparse parser reads
+        assert foulkes.cli.main(["decompose", "3,1", "--form", "json"]) == 0
         memos = _memos()
         assert formulas._factor_product in memos and lr._product_terms in memos
         assert formulas._signed_sum in memos
@@ -509,6 +511,7 @@ class TestMemos:
         assert expansions._strip_table in memos
         assert expansions._class_sums in memos
         assert foulkes.cli._json_term_head in memos
+        assert foulkes.cli._build_parser in memos
         assert all(memo.cache_info().currsize for memo in memos)
         clear_caches()
         assert [memo.cache_info().currsize for memo in memos] == [0] * len(memos)
