@@ -32,7 +32,8 @@ The (n-1, 1) closed form and the table for (n-2, 1, 1) and (n-2, 2)
 are read off one per-row rule. The odd parts of lam, a partition of
 2n, put lam in one row of the paper's Table 1 (_table_row), and
 _row_multiplicity gives that row's multiplicity for each of the three
-nu; _table makes this one pass over every partition of 2n.
+nu; _table builds the lam of each row directly from their odd parts,
+never forming the other partitions of 2n.
 
 Each alternating-sum method covers nu by one shape rule, kept in
 _SHAPE_RULES: at most two rows, at most two columns, or a hook.
@@ -302,17 +303,40 @@ def table_multiplicity(lam: Iterable[int], kind: str, n: int) -> int:
     return _row_multiplicity(lam, _table_row(lam), kind)
 
 
+def _odd_parts(total: int, count: int, top: int) -> Iterable[Partition]:
+    """The partitions into exactly count odd parts, each at most top,
+    whose sum is at most total."""
+    if not count:
+        yield ()
+        return
+    largest = min(top, total - count + 1)
+    for first in range(largest - 1 + largest % 2, 0, -2):
+        for rest in _odd_parts(total - first, count - 1, first):
+            yield (first,) + rest
+
+
 def _table(kind: str, n: int) -> tuple[SchurExpansion, dict[Partition, str]]:
-    """One pass over the partitions lam of 2n for a kind and n already
-    checked: the expansion of the multiplicities _row_multiplicity
-    gives, and the Table 1 row of each lam in it."""
+    """For a kind and n already checked, the expansion of the
+    multiplicities _row_multiplicity gives, and the Table 1 row of each
+    lam in it.
+
+    Each row's lam are built directly: the row's 0, 2 or 4 odd parts,
+    of sum s, merged with 2*mu for every partition mu of (2n - s) / 2.
+    So no partition of 2n outside every row is formed: at n = 25 that
+    is 159,677 of the 204,226.
+    """
     mults: dict[Partition, int] = {}
     rows: dict[Partition, str] = {}
-    for lam in generate_partitions(2 * n):
-        row = _table_row(lam)
-        mult = _row_multiplicity(lam, row, kind)
-        if mult:
-            mults[lam], rows[lam] = mult, row
+    for count in (0, 2, 4):
+        for odd in _odd_parts(2 * n, count, 2 * n):
+            row = _table_row(odd)
+            if row == "other":  # four equal odd parts, or three and one more
+                continue
+            for mu in generate_partitions(n - sum(odd) // 2):
+                lam = tuple(sorted([*odd, *[2 * p for p in mu]], reverse=True))
+                mult = _row_multiplicity(lam, row, kind)
+                if mult:
+                    mults[lam], rows[lam] = mult, row
     return SchurExpansion._trusted(mults), rows
 
 

@@ -1,9 +1,12 @@
 """Command-line surface: rendering, exit codes, determinism."""
 
+import ast
 import contextlib
+import gc
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -512,6 +515,24 @@ class TestTable:
         assert code == 3
         assert out == ""
         assert err == f"error: table n = {n} exceeds the limit 25\n"
+
+    @pytest.mark.parametrize("kind", TABLE_NU_KINDS)
+    def test_n20_forms_no_partition_of_2n(self, capsys, monkeypatch, kind):
+        # each row is built from a partition of (2n - s) / 2, s the sum of
+        # its odd parts, so the memo behind every partition generator is
+        # never asked for more than n, let alone for 2n = 40
+        sizes = set()
+        bounded = partitions._bounded
+
+        def recording(size, cap, gap):
+            sizes.add(size)
+            return bounded(size, cap, gap)
+
+        monkeypatch.setattr(partitions, "_bounded", recording)
+        code, out, _ = run(capsys, "table", "20", "--kind", kind, "--format", "json")
+        assert code == 0
+        assert json.loads(out)["n"] == 20
+        assert max(sizes) == 20
 
     def test_json_rows(self, capsys):
         code, out, _ = run(capsys, "table", "4", "--kind", "n-2,1,1", "--format", "json")
@@ -1132,3 +1153,104 @@ def test_usage_error_and_help_load_argparse(argv, code, out, err):
     got_code, got_out, got_err, loaded = _run_isolated(argv)
     assert (got_code, got_out, got_err) == (code, out, err)
     assert "argparse" in loaded
+
+
+# A golden query of each subcommand and of each exit code, and a usage
+# error, which argparse ends with SystemExit.
+ENTRY_QUERIES = [
+    ["decompose", "3", "--format", "json"],
+    ["oracle", "6", "--inner", "e2", "--format", "text"],
+    ["compare", "6", "--dual", "--format", "json"],
+    ["table", "10", "--kind", "n-2,1,1", "--verify", "--format", "text"],
+    ["lr", "1,1,1,1", "2", "2", "--format", "text"],
+    ["decompose", "3,2,1"],
+    ["oracle", "10"],
+    ["decompose", "2,1", "extra"],
+]
+
+
+def _in_process(capsys, argv):
+    """cli.main(argv) in this process: exit code, stdout, stderr."""
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def _after_atexit_hook(script):
+    """Run script in a fresh interpreter after an atexit hook that
+    prints whether the collector's objects are frozen by then. The hook
+    prints only if the process is not cut short (as os._exit would)."""
+    src = str(Path(foulkes.__file__).resolve().parents[1])
+    hook = (
+        "import atexit, gc, sys\n"
+        "atexit.register(lambda: print('atexit: frozen', gc.get_freeze_count() > 0,"
+        " file=sys.stderr))\n"
+    )
+    return subprocess.run(
+        [sys.executable, "-c", hook + script],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+    )
+
+
+class TestEntry:
+    """python -m foulkes.cli and the installed foulkes command enter at
+    cli.run, which freezes the collector on its way out; cli.main, which
+    callers in one process call again and again, leaves it alone."""
+
+    @pytest.mark.parametrize("argv", ENTRY_QUERIES, ids=" ".join)
+    def test_main_leaves_the_collector_alone(self, capsys, argv):
+        state = (gc.isenabled(), gc.get_freeze_count())
+        code = _in_process(capsys, argv)[0]
+        assert (gc.isenabled(), gc.get_freeze_count()) == state
+        key = " ".join(argv)
+        assert code == (GOLDEN[key][0] if key in GOLDEN else 2)  # 2: usage error
+
+    @pytest.mark.parametrize("argv", ENTRY_QUERIES, ids=" ".join)
+    def test_module_run_prints_what_main_prints(self, capsys, argv):
+        # the __main__ block as python -m runs it
+        code, out, err = _in_process(capsys, argv)
+        proc = _after_atexit_hook(
+            "import runpy\n"
+            f"sys.argv = ['foulkes', *{argv!r}]\n"
+            "runpy.run_module('foulkes.cli', run_name='__main__')\n"
+        )
+        assert proc.stdout == out
+        assert proc.stderr == err + "atexit: frozen True\n"
+        assert proc.returncode == code
+
+    def test_run_freezes_on_an_exception(self):
+        proc = _after_atexit_hook(
+            "import foulkes.cli\n"
+            "def main():\n"
+            "    raise RuntimeError('boom')\n"
+            "foulkes.cli.main = main\n"
+            "foulkes.cli.run()\n"
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.endswith("RuntimeError: boom\natexit: frozen True\n")
+
+    def test_installed_command_calls_the_main_block_entry(self):
+        tree = ast.parse(Path(cli.__file__).read_text())
+        main_test = "__name__ == '__main__'"
+        (block,) = [
+            node
+            for node in tree.body
+            if isinstance(node, ast.If) and ast.unparse(node.test) == main_test
+        ]
+        (statement,) = block.body
+        entry = statement.value.func.id
+        assert entry != "main" and callable(getattr(cli, entry))
+        text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+        try:
+            import tomllib
+        except ModuleNotFoundError:  # Python 3.10
+            script = re.search(r'^foulkes = "(.*)"$', text, re.MULTILINE).group(1)
+        else:
+            script = tomllib.loads(text)["project"]["scripts"]["foulkes"]
+        assert script == f"foulkes.cli:{entry}"

@@ -283,12 +283,33 @@ class TestTable:
         [("n-2,1,1", n) for n in range(3, 13)] + [("n-2,2", n) for n in range(4, 13)],
     )
     def test_scan_matches_table_multiplicity(self, kind, n):
-        # the one pass that phi_hook_depth1_closed and the table command
+        # the rows that phi_hook_depth1_closed and the table command
         # read, against the public function on every partition of 2n
         table, rows = formulas._table(kind, n)
         want = {lam: table_multiplicity(lam, kind, n) for lam in generate_partitions(2 * n)}
         assert table == SchurExpansion(want)
         assert rows == {lam: table_row_class(lam) for lam in table}
+
+    @pytest.mark.parametrize(
+        "kind, n",
+        [
+            (kind, n)
+            for kind, least in (("n-1,1", 2), ("n-2,1,1", 3), ("n-2,2", 4))
+            for n in range(least, 17)
+        ],
+    )
+    def test_rows_built_directly_equal_the_filtered_scan(self, kind, n):
+        # the reference scans every partition of 2n: its row, and that
+        # row's multiplicity where it is not zero
+        want, want_rows = {}, {}
+        for lam in generate_partitions(2 * n):
+            row = formulas._table_row(lam)
+            mult = formulas._row_multiplicity(lam, row, kind)
+            if mult:
+                want[lam], want_rows[lam] = mult, row
+        table, rows = formulas._table(kind, n)
+        assert table == SchurExpansion(want)
+        assert rows == want_rows
 
     def test_frozen_multiplicities(self):
         assert table_multiplicity((5, 3), "n-2,1,1", 4) == 1
