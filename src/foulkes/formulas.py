@@ -33,7 +33,8 @@ are read off one per-row rule. The odd parts of lam, a partition of
 2n, put lam in one row of the paper's Table 1 (_table_row), and
 _row_multiplicity gives that row's multiplicity for each of the three
 nu; _table builds the lam of each row directly from their odd parts,
-never forming the other partitions of 2n.
+skipping the rows a nu prices at 0 and never forming the other
+partitions of 2n.
 
 Each alternating-sum method covers nu by one shape rule, kept in
 _SHAPE_RULES: at most two rows, at most two columns, or a hook.
@@ -322,15 +323,16 @@ def _table(kind: str, n: int) -> tuple[SchurExpansion, dict[Partition, str]]:
 
     Each row's lam are built directly: the row's 0, 2 or 4 odd parts,
     of sum s, merged with 2*mu for every partition mu of (2n - s) / 2.
-    So no partition of 2n outside every row is formed: at n = 25 that
-    is 159,677 of the 204,226.
+    Only the rows in _PRICED_ROWS[kind] are built, so no partition of
+    2n outside them is formed: at n = 25 that is 159,677 of the 204,226
+    outside every row, and 28,601 more for 'n-1,1'.
     """
     mults: dict[Partition, int] = {}
     rows: dict[Partition, str] = {}
     for count in (0, 2, 4):
         for odd in _odd_parts(2 * n, count, 2 * n):
             row = _table_row(odd)
-            if row == "other":  # four equal odd parts, or three and one more
+            if row not in _PRICED_ROWS[kind]:  # "other", or priced at 0
                 continue
             for mu in generate_partitions(n - sum(odd) // 2):
                 lam = tuple(sorted([*odd, *[2 * p for p in mu]], reverse=True))
@@ -340,10 +342,22 @@ def _table(kind: str, n: int) -> tuple[SchurExpansion, dict[Partition, str]]:
     return SchurExpansion._trusted(mults), rows
 
 
+# The Table 1 rows where a kind's multiplicity can be above 0; on the
+# others (and "other") _row_multiplicity is 0 whatever lam is, so _table
+# never builds their lam.
+_PRICED_ROWS = {
+    "n-1,1": {"all-even", "2-odd-distinct"},
+    "n-2,1,1": set(_TABLE_ROWS.values()) - {"4-odd-two-pairs"},
+    "n-2,2": set(_TABLE_ROWS.values()) - {"2-odd-equal"},
+}
+
+
 def _row_multiplicity(lam: Partition, row: str, kind: str) -> int:
     """The multiplicity of s_lam, lam a checked partition of 2n in the
     given Table 1 row, for nu = (n-2, 1, 1) (kind 'n-2,1,1'), (n-2, 2)
     ('n-2,2') or, by the paper's corollary, (n-1, 1) ('n-1,1')."""
+    if row not in _PRICED_ROWS[kind]:
+        return 0
     hook_kind = kind == "n-2,1,1"
     if row == "all-even":
         a = distinct_part_count(lam)
@@ -352,8 +366,8 @@ def _row_multiplicity(lam: Partition, row: str, kind: str) -> int:
         if hook_kind:
             return a * (a - 1) // 2 - a + 1
         return a * (a - 2) + count_even_shifts(lam, {4}, {2}) + repeated_part_count(lam)
-    if kind == "n-1,1":
-        return 1 if row == "2-odd-distinct" else 0
+    if kind == "n-1,1":  # 2-odd-distinct
+        return 1
     if row == "2-odd-distinct":
         if hook_kind:
             return (
@@ -368,17 +382,10 @@ def _row_multiplicity(lam: Partition, row: str, kind: str) -> int:
             + count_even_shifts(lam, {3}, {1, 2})
             - 1
         )
-    if row == "2-odd-equal":
-        if hook_kind:
-            return count_even_shifts(lam, {3}, {2}) + count_even_shifts(lam, {2}, {1})
-        return 0
-    if row == "4-odd-distinct":
-        return 3
-    if row == "4-odd-one-pair":
-        return 1
-    if row == "4-odd-two-pairs":
-        return 0 if hook_kind else 1
-    return 0
+    if row == "2-odd-equal":  # n-2,1,1
+        return count_even_shifts(lam, {3}, {2}) + count_even_shifts(lam, {2}, {1})
+    # the 4-odd rows: two pairs for n-2,2 only
+    return 3 if row == "4-odd-distinct" else 1
 
 
 def omega_dual(f: SchurExpansion) -> SchurExpansion:

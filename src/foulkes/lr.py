@@ -13,28 +13,29 @@ cross-checks the two engines against each other.
 
 The strip enumeration costs more with every strip, so for each pair
 of terms schur_multiply makes the factor with fewer rows the one whose
-rows become strips. It then groups the pairs by that strip shape and
-hands _product_terms each group whole: the other factors of the group
-with their summed weights, so symmetric pairs merge. The strips are
-added level by level under one lattice rule (Macdonald, Symmetric
-Functions and Hall Polynomials, I.9): counting from the top, cell j of
-a strip lies on a lower row than cell j of the strip before. As the
-rule links each strip only to the one before it, chains that reach the
-same shape with the same top cells in their last strip are merged and
-extended once, from whichever source of the group they start (see
-_product_terms). A strip of one cell goes straight onto each addable
-row below the top cell of the strip before. One loop places every
-larger strip cell by cell, top first, on those rows, with an explicit
-stack, so no recursion depth grows with the strip either.
+rows become strips. It then groups the pairs by that strip shape, each
+group holding the other factors with their summed weights, so
+symmetric pairs merge, and hands _product_terms the whole product at
+once. The strips are added under one lattice rule (Macdonald,
+Symmetric Functions and Hall Polynomials, I.9): counting from the top,
+cell j of a strip lies on a lower row than cell j of the strip before.
+As the rule links each strip only to the one before it, chains that
+have the same strips still to add and reach the same shape with the
+same top cells in their last strip are merged and extended once, from
+whichever source and strip shape they start (see _product_terms): the
+chains of (4, 2, 2) and (2, 2, 2) share their tail (2, 2). A strip of
+one cell goes straight onto each addable row below the top cell of the
+strip before. One loop places every larger strip cell by cell, top
+first, on those rows, with an explicit stack, so no recursion depth
+grows with the strip either.
 
-The memo of _product_terms, keyed on the group, lives as long as the
-process and holds most of the memory of the closed formulas, so each
-entry is compact: a tuple of shapes and a parallel tuple of int
-coefficients, where every shape is the one copy kept by _shape.
-schur_multiply adds these shapes as they are, so its results share
-them too. An in-process sweep of the formulas to |nu| = 12 stores
-about 63k terms in 472 groups (110k terms in 2591 entries with one
-entry per pair) and peaks at 18.8 MB RSS (Python 3.11).
+The memo of _product_terms, keyed on the whole product, lives as long
+as the process, so each entry is compact: a tuple of shapes and a
+parallel tuple of int coefficients, where every shape is the one copy
+kept by _shape. schur_multiply wraps these shapes as they are, so its
+results share them too. decompose of every covered nu to |nu| = 12,
+both inners, in one process stores about 29k terms in 127 products and
+peaks at 18.4 MB RSS (Python 3.11).
 """
 
 from __future__ import annotations
@@ -129,41 +130,49 @@ def _shape(lam: Partition) -> Partition:
 
 @cache
 def _product_terms(
-    sources: tuple[tuple[Partition, int], ...], b: Partition
+    groups: tuple[tuple[tuple[tuple[Partition, int], ...], Partition], ...]
 ) -> tuple[tuple[Partition, ...], tuple[int, ...]]:
-    """Expansion of the sum of w * s_a * s_b over the (a, w) in sources,
-    as parallel tuples (shapes, coefficients).
+    """Expansion of the sum of w * s_a * s_b over every group (sources, b)
+    in groups and every (a, w) in its sources, as parallel tuples
+    (shapes, coefficients).
 
-    sources is the group key: distinct shapes a with non-zero int
-    weights w, sorted in reverse order. schur_multiply makes one group
-    of every pair of its factors that share the strip shape b, so
-    symmetric pairs and repeated sources cost one entry.
+    groups is the product key that schur_multiply builds: one group per
+    strip shape b, sorted on b, whose sources are distinct shapes a with
+    non-zero int weights w, sorted in reverse order. So a product, and
+    the same product with its factors swapped, is one entry, and
+    symmetric pairs and repeated sources cost nothing more.
 
     The shapes are in canonical (reverse-lex) order, each with a
     non-zero coefficient, and each is the shared copy held by _shape:
-    a fresh tuple per term would cost about 155 B of memo per term,
-    the shared copy about 48 B (every group needed by the factor
-    products with a + b <= 10).
+    a fresh tuple per term would cost about 108 B of memo per term,
+    the shared copy about 59 B (every factor product with a + b <= 10).
 
-    Counts chains a = k0 <= k1 <= ... where step i adds a horizontal
-    strip of b_i cells, subject to one lattice rule: counting from the
-    top, cell j of strip i lies on a lower row than cell j of strip i-1.
-    The first strip follows b_0 cells on a virtual row -1, which leave
-    it free. The coefficient of lam is the number of chains that end in
-    lam, each chain counted with the weight of its source.
+    For each group, counts chains a = k0 <= k1 <= ... where step i adds
+    a horizontal strip of b_i cells, subject to one lattice rule:
+    counting from the top, cell j of strip i lies on a lower row than
+    cell j of strip i-1. The first strip follows b_0 cells on a virtual
+    row -1, which leave it free. The coefficient of lam is the number of
+    chains that end in lam, each chain counted with the weight of its
+    source.
 
-    The chains are merged level by level rather than walked one by
-    one. The rule links strip i+1 to strip i and to no earlier strip,
-    and strip i+1 has b_{i+1} cells, so what can follow strip i depends
-    on two things only: the shape k_i, and above, the rows of the top
-    b_{i+1} cells of strip i, top first, as in (3, 3, 5). One dict per
-    level maps each such state to the weighted number of chains that
-    reach it, and each state is extended once, however many chains
-    share it and from whichever sources they start: the first level
-    holds every source with its weight. Through row r the rule lets a
-    strip hold at most as many cells as above has entries on rows above
-    r, so every row down to above[0] is closed and every strip scans
-    from the row below it.
+    The chains are merged rather than walked one by one. The rule links
+    strip i+1 to strip i and to no earlier strip, and strip i+1 has
+    b_{i+1} cells, so what can follow strip i depends on three things
+    only: the strips still to add, the shape k_i, and above, the rows of
+    the top b_{i+1} cells of strip i, top first, as in (3, 3, 5). One
+    frontier, keyed by the strips still to add (a suffix of some b),
+    maps each state (shape, above) to the weighted number of chains that
+    reach it, and each state is extended once, however many chains share
+    it and from whichever sources and groups they start: the suffix b
+    itself holds every source of b's group with its weight. So the
+    chains of different strip shapes merge once what they still have to
+    add coincides: after one strip, the chains of (4, 2, 2) and of
+    (2, 2, 2) both have (2, 2) to add. A suffix is extended after
+    every longer one that ends in it, so every chain into a state is in
+    before the state is extended. Through row r the rule lets a strip
+    hold at most as many cells as above has entries on rows above r, so
+    every row down to above[0] is closed and every strip scans from the
+    row below it.
 
     The strip goes on the addable rows below above[0]: row 0 (up to
     the whole strip), every row below a strictly longer row, and the
@@ -183,17 +192,28 @@ def _product_terms(
     more, so the work grows with the number and the size of the strips,
     which is why schur_multiply passes the factor with fewer rows as b.
     """
-    if not b:
-        return tuple(_shape(a) for a, _ in sources), tuple(w for _, w in sources)
-    # chains[(shape, above)]: the weighted number of chains of the strips
-    # so far that end in shape, with above the rows of the last strip's
-    # top cells; the first strip follows one on the virtual row -1
-    chains = {(a, (-1,) * b[0]): w for a, w in sources}
-    counts: dict[Partition, int] = {}  # the chains of all the strips
-    for i, need in enumerate(b):
-        # the next strip is bounded by this one's top keep cells only
-        keep = b[i + 1] if i + 1 < len(b) else 0
-        merged: dict[tuple[Partition, tuple[int, ...]], int] = {}
+    # frontier[rest]: the weighted chains that still have the strips
+    # rest to add, keyed (shape, above), above the rows of the last
+    # strip's top cells; a source follows a strip on the virtual row -1
+    frontier: dict[Partition, dict[tuple[Partition, tuple[int, ...]], int]] = {}
+    counts: dict[Partition, int] = {}  # the chains with no strip left
+    for sources, b in groups:
+        if b:
+            for i in range(1, len(b)):
+                frontier.setdefault(b[i:], {})
+            frontier[b] = {(a, (-1,) * b[0]): w for a, w in sources}
+        else:  # a group without strips is its own expansion
+            counts.update(sources)
+    # by the reversed strips, descending: a key comes after every longer
+    # key that ends in it, so all chains into its states are in, and the
+    # keys with one tail come together, so few part-filled frontiers are
+    # held at once
+    for rest in sorted(frontier, key=lambda rest: rest[::-1], reverse=True):
+        chains, need = frontier.pop(rest), rest[0]
+        # the next strip is bounded by this one's top keep cells only;
+        # the chains go on in merged, or end in counts after the last
+        keep = rest[1] if len(rest) > 1 else 0
+        merged = frontier[rest[1:]] if keep else counts
         for (shape, above), count in chains.items():
             # the rows below above[0], x the length of the row above the
             # first of them: row 0 has room for the whole strip
@@ -267,7 +287,6 @@ def _product_terms(
                 else:
                     break
                 k += 1
-        chains = merged
     order = sorted((lam for lam, c in counts.items() if c), reverse=True)
     return tuple(map(_shape, order)), tuple(counts[lam] for lam in order)
 
@@ -276,7 +295,9 @@ def schur_multiply(f: SchurExpansion, g: SchurExpansion) -> SchurExpansion:
     """Product of two Schur expansions, expanded back into the basis.
 
     Bilinear: the coefficient of s_lam is the sum over (mu, nu) of
-    f(mu) * g(nu) * c^lam_{mu, nu}.
+    f(mu) * g(nu) * c^lam_{mu, nu}. The pairs, each oriented and
+    grouped by its strip shape, make one key of _product_terms, which
+    runs every group's chains together.
     """
     _check_basis(SchurExpansion, f, g)
     # the factor with fewer rows makes the strips, ties go one fixed
@@ -290,10 +311,9 @@ def schur_multiply(f: SchurExpansion, g: SchurExpansion) -> SchurExpansion:
                 source, strips = nu, mu
             group = groups.setdefault(strips, {})
             group[source] = group.get(source, 0) + cf * cg
-    acc: dict[Partition, int] = {}
-    for strips, group in groups.items():
+    key = []
+    for strips, group in sorted(groups.items()):
         sources = tuple(sorted(((a, w) for a, w in group.items() if w), reverse=True))
         if sources:
-            for lam, c in zip(*_product_terms(sources, strips)):
-                acc[lam] = acc.get(lam, 0) + c
-    return SchurExpansion._trusted(acc)
+            key.append((sources, strips))
+    return SchurExpansion._trusted(dict(zip(*_product_terms(tuple(key)))))

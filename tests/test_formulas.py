@@ -6,6 +6,7 @@ internal consistency between formula variants, and the table
 statistics on hand-checked rows.
 """
 
+import math
 import sys
 from collections import Counter
 
@@ -311,6 +312,33 @@ class TestTable:
         assert table == SchurExpansion(want)
         assert rows == want_rows
 
+    @pytest.mark.parametrize(
+        "kind, nu, least",
+        [
+            ("n-1,1", lambda n: (n - 1, 1), 2),
+            ("n-2,1,1", lambda n: (n - 2, 1, 1), 3),
+            ("n-2,2", lambda n: (n - 2, 2), 4),
+        ],
+        ids=["n-1,1", "n-2,1,1", "n-2,2"],
+    )
+    def test_no_zero_row_is_priced(self, kind, nu, least, monkeypatch):
+        # _table prices only the Table 1 rows of the lam that the formula
+        # route finds for its nu, n up to 12: never the 2-odd-equal row
+        # of n-2,2, the 4-odd-two-pairs row of n-2,1,1, or the
+        # 2-odd-equal and 4-odd rows of n-1,1
+        rule = formulas._row_multiplicity
+        priced, found = set(), set()
+
+        def spy(lam, row, kind):
+            priced.add(row)
+            return rule(lam, row, kind)
+
+        monkeypatch.setattr(formulas, "_row_multiplicity", spy)
+        for n in range(least, 13):
+            formulas._table(kind, n)
+            found.update(map(formulas._table_row, decompose(nu(n))[0].support()))
+        assert priced == found
+
     def test_frozen_multiplicities(self):
         assert table_multiplicity((5, 3), "n-2,1,1", 4) == 1
         assert table_multiplicity((6, 1, 1), "n-2,1,1", 4) == 1
@@ -476,6 +504,28 @@ def _misses():
         formulas._factor_product.cache_info().misses,
         lr._product_terms.cache_info().misses,
     )
+
+
+def check_factor_dimension(a, b, kind):
+    """The dimension identity of one factor product: its terms' degrees
+    add up to C(2n, 2a) times the degrees of its two factors, n = a + b.
+    The CI runs it on every product with a + b = 16."""
+    base = {"h": phi_one_row, "e": phi_one_column}
+    want = (
+        math.comb(2 * (a + b), 2 * a)
+        * total_dimension(base[kind[0]](a))
+        * total_dimension(base[kind[1]](b))
+    )
+    assert total_dimension(formulas._factor_product(a, b, kind)) == want, (a, b, kind)
+
+
+@pytest.mark.parametrize("total", range(13))
+def test_factor_product_dimension_identity(total):
+    # a >= b for the symmetric kinds, as the sums pass them
+    for kind in ("hh", "ee", "he"):
+        for a in range(total + 1):
+            if kind == "he" or 2 * a >= total:
+                check_factor_dimension(a, total - a, kind)
 
 
 class TestMemos:

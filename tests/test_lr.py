@@ -132,6 +132,12 @@ def chain_product_terms(a, b):
     return tuple(order), tuple(counts[lam] for lam in order)
 
 
+def group_terms(sources, b):
+    """The sum of w * s_a * s_b over the (a, w) in sources, from one
+    _product_terms call on a product of the one strip shape b."""
+    return _product_terms(((sources, b),))
+
+
 def weighted_chain_terms(sources, b):
     """The sum of w * s_a * s_b over the (a, w) in sources, as a dict of
     its non-zero terms, from one chain walk per source."""
@@ -168,7 +174,7 @@ class TestEnginesAgree:
         for a in range(0, total + 1):
             for mu in generate_partitions(a):
                 for nu in generate_partitions(total - a):
-                    terms = dict(zip(*_product_terms(((mu, 1),), nu)))
+                    terms = dict(zip(*group_terms(((mu, 1),), nu)))
                     for lam in generate_partitions(total):
                         assert terms.get(lam, 0) == lr_coefficient(lam, mu, nu), (
                             lam,
@@ -193,7 +199,7 @@ class TestMergedChains:
         }
         for mu, nu in sorted(pairs):
             for a, b in ((mu, nu), (nu, mu)):
-                assert _product_terms(((a, 1),), b) == chain_product_terms(a, b), (
+                assert group_terms(((a, 1),), b) == chain_product_terms(a, b), (
                     a,
                     b,
                 )
@@ -209,7 +215,7 @@ class TestCompactMemo:
         for mu in f.support():
             for nu in g.support():
                 for a, b in ((mu, nu), (nu, mu)):
-                    shapes, coefficients = _product_terms(((a, 1),), b)
+                    shapes, coefficients = group_terms(((a, 1),), b)
                     assert len(shapes) == len(coefficients)
                     assert shapes == tuple(sorted(set(shapes), reverse=True))
                     assert all(type(c) is int for c in coefficients)
@@ -223,8 +229,8 @@ class TestCompactMemo:
         assert he and all(lam is _shape(lam) for lam in he._terms)
 
     def test_memo_bytes_per_term(self):
-        # Every group that the factor products with a + b <= 10 need,
-        # keyed as schur_multiply passes them.
+        # Every product key of the factor products with a + b <= 10, as
+        # schur_multiply builds them.
         clear_caches()
         base = {"h": phi_one_row, "e": phi_one_column}
         kinds = [
@@ -234,23 +240,19 @@ class TestCompactMemo:
             for b in range(11 - a)
         ]
         keys = sorted(
-            {
-                key
-                for a, b, kind in kinds
-                for key in strip_groups(base[kind[0]](a), base[kind[1]](b))
-            }
+            {product_key(base[kind[0]](a), base[kind[1]](b)) for a, b, kind in kinds}
         )
         tracemalloc.start()
         try:
             for key in keys:
-                _product_terms(*key)
+                _product_terms(key)
             grown = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        terms = sum(len(_product_terms(*key)[0]) for key in keys)
-        # about 48 B per term; a fresh tuple per term costs about 155 B
+        terms = sum(len(_product_terms(key)[0]) for key in keys)
+        # about 59 B per term; a fresh tuple per term costs about 108 B
         assert grown / terms < 60, (grown, terms)
-        # the groups are exactly what the factor products look up
+        # the keys are exactly what the factor products look up
         misses = _product_terms.cache_info().misses
         for a, b, kind in kinds:
             formulas._factor_product(a, b, kind)
@@ -258,11 +260,12 @@ class TestCompactMemo:
         assert (info.misses, info.currsize) == (misses, len(keys))
 
 
-def strip_groups(f, g):
-    """The (sources, strips) keys of _product_terms that f * g needs:
-    per pair the factor with fewer rows makes the strips (ties to the
-    one that sorts lower), and the pairs with one strip shape sum their
-    weights per source, dropping the sources whose weights cancel."""
+def product_key(f, g):
+    """The key of _product_terms that f * g looks up: per pair the
+    factor with fewer rows makes the strips (ties to the one that sorts
+    lower), and the pairs with one strip shape form one group that sums
+    their weights per source, dropping the sources whose weights
+    cancel; the groups are sorted on their strip shape."""
     groups = {}
     for mu, cf in f.items():
         for nu, cg in g.items():
@@ -272,11 +275,11 @@ def strip_groups(f, g):
                 source, strips = nu, mu
             group = groups.setdefault(strips, Counter())
             group[source] += cf * cg
-    return [
+    return tuple(
         (tuple(sorted(((a, w) for a, w in group.items() if w), reverse=True)), strips)
-        for strips, group in groups.items()
+        for strips, group in sorted(groups.items())
         if any(group.values())
-    ]
+    )
 
 
 @st.composite
@@ -305,7 +308,7 @@ class TestWeightedGroups:
     @given(weighted_groups())
     def test_matches_weighted_sum_of_chain_walks(self, key):
         sources, b = key
-        shapes, coefficients = _product_terms(sources, b)
+        shapes, coefficients = group_terms(sources, b)
         assert shapes == tuple(sorted(set(shapes), reverse=True))
         assert all(type(c) is int and c for c in coefficients)
         assert all(lam is _shape(lam) for lam in shapes)
@@ -319,12 +322,12 @@ class TestWeightedGroups:
 
     def test_cancelling_weights_leave_no_zero(self):
         # s_2 s_1 - s_11 s_1 = (s_3 + s_21) - (s_21 + s_111)
-        assert _product_terms((((2,), 1), ((1, 1), -1)), (1,)) == (
+        assert group_terms((((2,), 1), ((1, 1), -1)), (1,)) == (
             ((3,), (1, 1, 1)),
             (1, -1),
         )
         # with no strips the group is its own expansion
-        assert _product_terms((((2, 1), 2),), ()) == (((2, 1),), (2,))
+        assert group_terms((((2, 1), 2),), ()) == (((2, 1),), (2,))
 
     def test_symmetric_pairs_merge_and_zero_sources_drop(self):
         # (s_21 + s_3)(s_21 - s_3): the pairs (21, 3) and (3, 21) both
@@ -334,14 +337,14 @@ class TestWeightedGroups:
         clear_caches()
         product = schur_multiply(f, g)
         info = _product_terms.cache_info()
-        assert (info.misses, info.currsize) == (2, 2)
-        assert sorted(strip_groups(f, g)) == [
+        # one entry for the product, whose two groups it sums
+        assert (info.misses, info.currsize) == (1, 1)
+        assert product_key(f, g) == (
             ((((2, 1), 1),), (2, 1)),
             ((((3,), -1),), (3,)),
-        ]
-        for key in strip_groups(f, g):
-            _product_terms(*key)
-        assert _product_terms.cache_info().misses == 2
+        )
+        _product_terms(product_key(f, g))
+        assert _product_terms.cache_info().misses == 1
         expected = {
             lam: lr_coefficient(lam, (2, 1), (2, 1)) - lr_coefficient(lam, (3,), (3,))
             for lam in generate_partitions(6)
@@ -380,7 +383,7 @@ class TestStripKernel:
         for k in range(1, total + 1):
             for b in generate_partitions(k):
                 for a in generate_partitions(total - k):
-                    assert _product_terms(((a, 1),), b) == chain_product_terms(
+                    assert group_terms(((a, 1),), b) == chain_product_terms(
                         a, b
                     ), (a, b)
 
@@ -389,7 +392,7 @@ class TestStripKernel:
         for k in range(1, 13):
             for b in generate_partitions(k):
                 for a in generate_partitions(12 - k):
-                    terms = dict(zip(*_product_terms(((a, 1),), b)))
+                    terms = dict(zip(*group_terms(((a, 1),), b)))
                     for lam in lams:
                         assert terms.get(lam, 0) == lr_coefficient(lam, a, b), (
                             lam,
@@ -413,7 +416,7 @@ class TestStripKernel:
     @example(((((), 1),), (1, 1, 1)))
     def test_weighted_groups(self, key):
         sources, b = key
-        got = dict(zip(*_product_terms(sources, b)))
+        got = dict(zip(*group_terms(sources, b)))
         assert got == weighted_chain_terms(sources, b)
         for lam in generate_partitions(sum(sources[0][0]) + sum(b)):
             assert got.get(lam, 0) == sum(
@@ -433,41 +436,135 @@ class TestStripKernel:
                     (a, (-2, 1, 3, -1, 2)[i % 5])
                     for i, a in enumerate(generate_partitions(total - k))
                 )
-                got = dict(zip(*_product_terms(sources, b)))
+                got = dict(zip(*group_terms(sources, b)))
                 assert got == weighted_chain_terms(sources, b), (sources, b)
 
     def test_hand_checked_last_strips(self):
         # s_2 * s_11 = s_31 + s_211: the second strip's cell may not go
         # on row 1, where the first strip's cell is
-        assert _product_terms((((2,), 1),), (1, 1)) == (((3, 1), (2, 1, 1)), (1, 1))
+        assert group_terms((((2,), 1),), (1, 1)) == (((3, 1), (2, 1, 1)), (1, 1))
         # s_1 * s_22: both cells of the last strip need a row below the
         # second cell of the first, so (3, 2) and (2, 2, 1) only
-        assert _product_terms((((1,), 1),), (2, 2)) == (((3, 2), (2, 2, 1)), (1, 1))
+        assert group_terms((((1,), 1),), (2, 2)) == (((3, 2), (2, 2, 1)), (1, 1))
         # a first strip of two cells on the empty shape: both on row 0
-        assert _product_terms((((), 1),), (2,)) == (((2,),), (1,))
+        assert group_terms((((), 1),), (2,)) == (((2,),), (1,))
         # strips of three and four cells, each product read off Pieri's
         # rule for the other factor times a one-row Schur function
-        assert _product_terms((((), 1),), (3, 3)) == (((3, 3),), (1,))
-        assert _product_terms((((2, 1), 1),), (3,)) == (
+        assert group_terms((((), 1),), (3, 3)) == (((3, 3),), (1,))
+        assert group_terms((((2, 1), 1),), (3,)) == (
             ((5, 1), (4, 2), (4, 1, 1), (3, 2, 1)),
             (1, 1, 1, 1),
         )
-        assert _product_terms((((2, 2), 1),), (4,)) == (
+        assert group_terms((((2, 2), 1),), (4,)) == (
             ((6, 2), (5, 2, 1), (4, 2, 2)),
             (1, 1, 1),
         )
         # s_3 * s_33, as s_33 * s_3: one horizontal strip of 3 cells on
         # (3, 3), so none on row 1
-        assert _product_terms((((3,), 1),), (3, 3)) == (
+        assert group_terms((((3,), 1),), (3, 3)) == (
             ((6, 3), (5, 3, 1), (4, 3, 2), (3, 3, 3)),
             (1, 1, 1, 1),
         )
         # s_2 * s_44, as s_44 * s_2: one horizontal strip of 2 cells on
         # (4, 4), so none on row 1
-        assert _product_terms((((2,), 1),), (4, 4)) == (
+        assert group_terms((((2,), 1),), (4, 4)) == (
             ((6, 4), (5, 4, 1), (4, 4, 2)),
             (1, 1, 1),
         )
+
+
+def lr_product(f, g):
+    """f * g from lr_coefficient, term by term over every lam."""
+    total = (f.degree or 0) + (g.degree or 0)
+    return SchurExpansion(
+        {
+            lam: sum(
+                cf * cg * lr_coefficient(lam, mu, nu)
+                for mu, cf in f.items()
+                for nu, cg in g.items()
+            )
+            for lam in generate_partitions(total)
+        }
+    )
+
+
+@st.composite
+def signed_factors(draw):
+    """Two expansions of up to four terms with int weights in -3..3
+    (zero excluded), of sizes p and q with p + q <= 9. When p == q, g
+    may be f with some weights negated, so that the pairs (mu, nu) and
+    (nu, mu) of opposite signs cancel in their group."""
+    p = draw(st.integers(0, 9))
+    q = draw(st.integers(0, 9 - p))
+
+    def terms(n):
+        return draw(
+            st.dictionaries(
+                st.sampled_from(generate_partitions(n)),
+                st.integers(-3, 3).filter(bool),
+                min_size=1,
+                max_size=4,
+            )
+        )
+
+    f = terms(p)
+    if p == q and draw(st.booleans()):
+        g = {mu: w * draw(st.sampled_from((-1, 1))) for mu, w in f.items()}
+    else:
+        g = terms(q)
+    return SchurExpansion(f), SchurExpansion(g)
+
+
+class TestMergedProducts:
+    """One _product_terms call runs every strip group of a product, and
+    chains of different strip shapes merge once the strips they still
+    have to add coincide; every lam must still get what the coefficient
+    engine gives."""
+
+    def test_strip_shapes_sharing_tails(self):
+        # groups with strips (2, 2, 2), from (4, 2, 2) and (3, 2, 1, 1, 1),
+        # (4, 2, 2), from (3, 1, 1, 1), and (3, 1, 1, 1): after one strip
+        # the first two both have (2, 2) to add
+        f = SchurExpansion({(4, 2, 2): 2, (3, 2, 1, 1, 1): -1})
+        g = SchurExpansion({(2, 2, 2): 1, (3, 1, 1, 1): 3})
+        clear_caches()
+        product = schur_multiply(f, g)
+        assert [strips for _, strips in product_key(f, g)] == [
+            (2, 2, 2),
+            (3, 1, 1, 1),
+            (4, 2, 2),
+        ]
+        assert product == lr_product(f, g)
+        assert _product_terms.cache_info().misses == 1
+        # and each group on its own sums to the same product
+        acc = Counter()
+        for sources, strips in product_key(f, g):
+            for lam, c in zip(*group_terms(sources, strips)):
+                acc[lam] += c
+        assert product == SchurExpansion(dict(acc))
+
+    @given(signed_factors())
+    # strips from both factors, sources of one, two and three rows
+    @example(
+        (
+            SchurExpansion({(3,): 1, (2, 1): -2, (1, 1, 1): 1}),
+            SchurExpansion({(2,): 2, (1, 1): -1}),
+        )
+    )
+    # (s_21 + s_3)(s_21 - s_3): the pairs (21, 3) and (3, 21) cancel
+    @example(
+        (
+            SchurExpansion({(2, 1): 1, (3,): 1}),
+            SchurExpansion({(2, 1): 1, (3,): -1}),
+        )
+    )
+    # a factor of degree 0 is a group without strips
+    @example((SchurExpansion({(): -2}), SchurExpansion({(2, 2): 1, (3, 1): 2})))
+    def test_signed_products_match_coefficient_engine(self, factors):
+        f, g = factors
+        product = schur_multiply(f, g)
+        assert product == schur_multiply(g, f) == lr_product(f, g)
+        assert all(c for _, c in product.items())
 
 
 class TestOperandOrder:
@@ -567,7 +664,7 @@ class TestSymmetries:
         for a in range(0, total + 1):
             for mu in generate_partitions(a):
                 for nu in generate_partitions(total - a):
-                    assert _product_terms(((mu, 1),), nu) == _product_terms(
+                    assert group_terms(((mu, 1),), nu) == group_terms(
                         ((nu, 1),), mu
                     )
 
