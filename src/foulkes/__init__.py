@@ -6,18 +6,26 @@ slow but independent brute-force expansion lives in
 :mod:`foulkes.oracle`.  Everything is integer or Fraction arithmetic,
 nothing is floating point.  Intermediate results are memoized for the
 life of the process; :func:`clear_caches` empties every memo.
+
+The top level carries what a caller of the paper's results needs: the
+closed formulas and Table 1, :func:`decompose`, the oracle, the
+expansion types with their basis changes and the LR products, the
+partition I/O and utilities, and the errors these raise.  The helpers
+behind Table 1 and the characters (``double_hook``,
+``count_even_shifts``, ``centralizer_order`` and the like), the two
+errors only they raise, and the aliases ``omega_dual`` and
+``induce_product`` stay importable from :mod:`foulkes.partitions`,
+:mod:`foulkes.errors` and :mod:`foulkes.formulas`.
 """
 
 import sys
 
 from .errors import (
     DegreeMismatchError,
-    EmptyIncludeSetError,
     FoulkesError,
     InvalidShapeError,
     NonIntegerCoefficientError,
     PartitionParseError,
-    RepeatedPartsError,
     ResourceBoundError,
     UnsupportedShapeError,
 )
@@ -34,8 +42,6 @@ from .formulas import (
     METHODS,
     TABLE_NU_KINDS,
     decompose,
-    induce_product,
-    omega_dual,
     phi_hook,
     phi_hook_depth1_closed,
     phi_one_column,
@@ -56,19 +62,12 @@ from .oracle import (
 from .partitions import (
     Partition,
     as_partition,
-    centralizer_order,
     conjugate,
-    count_even_shifts,
-    distinct_part_count,
-    double,
-    double_hook,
-    drop_count,
     format_partition,
     generate_distinct_partitions,
     generate_partitions,
     irreducible_dimension,
     parse_partition,
-    repeated_part_count,
 )
 
 __version__ = "0.1.0"
@@ -98,7 +97,6 @@ def clear_caches() -> None:
 __all__ = [
     "DEFAULT_MAX_WEIGHT",
     "DegreeMismatchError",
-    "EmptyIncludeSetError",
     "FoulkesError",
     "InvalidShapeError",
     "METHODS",
@@ -106,29 +104,20 @@ __all__ = [
     "Partition",
     "PartitionParseError",
     "PowerSumExpansion",
-    "RepeatedPartsError",
     "ResourceBoundError",
     "SchurExpansion",
     "TABLE_NU_KINDS",
     "UnsupportedShapeError",
     "as_partition",
-    "centralizer_order",
     "clear_caches",
     "conjugate",
-    "count_even_shifts",
     "decompose",
-    "distinct_part_count",
-    "double",
-    "double_hook",
-    "drop_count",
     "format_partition",
     "generate_distinct_partitions",
     "generate_partitions",
-    "induce_product",
     "irreducible_dimension",
     "lr_coefficient",
     "mn_character",
-    "omega_dual",
     "omega_schur",
     "oracle_plethysm_e2",
     "oracle_plethysm_s2",
@@ -141,7 +130,6 @@ __all__ = [
     "phi_two_one_column_closed",
     "phi_two_row",
     "powersum_to_schur",
-    "repeated_part_count",
     "schur_multiply",
     "schur_to_powersum",
     "table_multiplicity",

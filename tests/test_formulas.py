@@ -423,6 +423,36 @@ class TestDecompose:
         )
         assert decompose((1, 1, 1), "base") == (phi_one_column(3), "one-column")
 
+    # The bench spans and the traced formula_sweep run wrap these
+    # module attributes, so decompose must look each one up there.
+    @pytest.mark.parametrize("inner", ["s2", "e2"])
+    @pytest.mark.parametrize(
+        "nu, method, wrapper, args",
+        [
+            ((4, 2), "auto", "phi_two_row", (6, 2)),
+            ((2, 2, 1), "two-column", "phi_two_column", (5, 2)),
+            ((3, 1, 1), "hook-first", "phi_hook", (5, 2, "first")),
+            ((3, 1, 1), "hook-second", "phi_hook", (5, 2, "second")),
+            ((4,), "base", "phi_one_row", (4,)),
+            ((1, 1, 1), "base", "phi_one_column", (3,)),
+        ],
+    )
+    def test_reaches_the_module_level_wrapper(
+        self, monkeypatch, nu, method, wrapper, args, inner
+    ):
+        original = getattr(formulas, wrapper)
+        calls = []
+
+        def spy(*a):
+            calls.append(a)
+            return original(*a)
+
+        monkeypatch.setattr(formulas, wrapper, spy)
+        result, _ = decompose(nu, method, inner)
+        assert calls == [args]
+        expected = original(*args)
+        assert result == (omega_schur(expected) if inner == "e2" else expected)
+
     @pytest.mark.parametrize("method", METHODS)
     def test_empty_partition_takes_base_case(self, method):
         assert decompose((), method) == (phi_one_row(0), "one-row")
