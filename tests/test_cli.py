@@ -408,14 +408,17 @@ class TestCompare:
         self._force_formula(monkeypatch)
         code, out, _ = run(capsys, "compare", "2")
         assert code == 1
-        assert out.splitlines()[3:] == [
-            "status: disagree",
-            "diff:",
-            "  4  formula=2  oracle=1",
-            "  3,1  formula=1  oracle=0",
-            "  2,2  formula=0  oracle=1",
-            "constituents: 2",
-        ]
+        assert out == (
+            "nu: 2\n"
+            "inner: s2\n"
+            "method: two-row\n"
+            "status: disagree\n"
+            "diff:\n"
+            "  4  formula=2  oracle=1\n"
+            "  3,1  formula=1  oracle=0\n"
+            "  2,2  formula=0  oracle=1\n"
+            "constituents: 2\n"
+        )
 
     def test_forced_disagreement_json(self, capsys, monkeypatch):
         self._force_formula(monkeypatch)
@@ -478,15 +481,32 @@ class TestTable:
                 {"lambda": [3, 3, 2], "table": 1, "formula": 0},
             ]
         elif fmt == "csv":
-            rows = out.splitlines()[1:]
-            assert len(rows) == 6 and all(row.endswith(";check") for row in rows)
+            assert out == (
+                "lambda;mult;table1_class;verified\n"
+                "6,1,1;1;2-odd-equal;check\n"
+                "5,3;1;2-odd-distinct;check\n"
+                "5,2,1;1;2-odd-distinct;check\n"
+                "4,3,1;1;2-odd-distinct;check\n"
+                "4,2,1,1;1;2-odd-equal;check\n"
+                "3,3,2;1;2-odd-equal;check\n"
+            )
         else:
-            assert out.splitlines()[-4:] == [
-                "verified: MISMATCH",
-                "  8  table=0  formula=2",
-                "  6,1,1  table=1  formula=2",
-                "  3,3,2  table=1  formula=0",
-            ]
+            assert out == (
+                "n: 4\n"
+                "kind: n-2,1,1\n"
+                "nu: 2,1,1\n"
+                "rows:\n"
+                "  6,1,1  1  2-odd-equal\n"
+                "  5,3  1  2-odd-distinct\n"
+                "  5,2,1  1  2-odd-distinct\n"
+                "  4,3,1  1  2-odd-distinct\n"
+                "  4,2,1,1  1  2-odd-equal\n"
+                "  3,3,2  1  2-odd-equal\n"
+                "verified: MISMATCH\n"
+                "  8  table=0  formula=2\n"
+                "  6,1,1  table=1  formula=2\n"
+                "  3,3,2  table=1  formula=0\n"
+            )
 
     def test_n_outside_ascii_digits_is_a_usage_error(self, capsys):
         # argparse's type=int would read '1_0' as 10
@@ -549,6 +569,86 @@ class TestTable:
         lines = out.splitlines()
         assert lines[0] == "lambda;mult;table1_class"
         assert "5,3;1;2-odd-distinct" in lines
+
+
+def _text_rows(out: str, block: str) -> tuple[list, list[str]]:
+    """The (lambda, mult, class) rows of a text block, and the lines
+    after it; a row with no class cell has the class ''."""
+    lines = out.splitlines()
+    rest = lines[lines.index(block) + 1 :]
+    count = next((i for i, line in enumerate(rest) if not line.startswith("  ")), None)
+    rows = []
+    for line in rest[:count]:
+        lam, mult, *cls = line[2:].split("  ")
+        rows.append((parse_partition(lam), int(mult), *(cls or [""])))
+    return rows, rest[count:] if count is not None else []
+
+
+def _csv_rows(out: str, verify: bool) -> list:
+    """The (lambda, mult, class) rows of a CSV output, after checking
+    its header and, under --verify, that every row reads ok."""
+    header, *lines = out.splitlines()
+    assert header == "lambda;mult;table1_class" + (";verified" if verify else "")
+    rows = []
+    for line in lines:
+        lam, mult, cls, *verified = line.split(";")
+        assert verified == (["ok"] if verify else [])
+        rows.append((parse_partition(lam), int(mult), cls))
+    return rows
+
+
+def _outputs(capsys, *argv) -> dict[str, str]:
+    """argv's stdout in each of the three formats, each exiting 0."""
+    outs = {}
+    for fmt in ("text", "csv", "json"):
+        code, outs[fmt], _ = run(capsys, *argv, "--format", fmt)
+        assert code == 0
+    return outs
+
+
+class TestRowsAcrossFormats:
+    """The text and CSV rows read back as exactly the JSON rows: the
+    same shapes, in the same order, with the same multiplicities and
+    Table 1 classes."""
+
+    @pytest.mark.parametrize("verify", [False, True], ids=["plain", "verify"])
+    @pytest.mark.parametrize("n", range(4, 13))
+    @pytest.mark.parametrize("kind", TABLE_NU_KINDS)
+    def test_table(self, capsys, kind, n, verify):
+        argv = ("table", str(n), "--kind", kind, *(["--verify"] if verify else []))
+        outs = _outputs(capsys, *argv)
+        expected = [
+            (tuple(row["lambda"]), row["mult"], row["class"])
+            for row in json.loads(outs["json"])["rows"]
+        ]
+        rows, after = _text_rows(outs["text"], "rows:")
+        assert rows == expected
+        size = len(expected)
+        assert after == ([f"verified: {size}/{size}"] if verify else [])
+        assert _csv_rows(outs["csv"], verify) == expected
+
+    # every nu of 6, through decompose where a closed formula covers it
+    # (all but 3,2,1) and through the oracle
+    @pytest.mark.parametrize("inner", ["s2", "e2"])
+    @pytest.mark.parametrize(
+        "command, nu",
+        [
+            (command, ",".join(map(str, nu)))
+            for command in ("decompose", "oracle")
+            for nu in generate_partitions(6)
+            if command == "oracle" or nu != (3, 2, 1)
+        ],
+    )
+    def test_expansion(self, capsys, command, nu, inner):
+        dual = ("--dual",) if command == "decompose" else ("--inner", "e2")
+        outs = _outputs(capsys, command, nu, *(dual if inner == "e2" else ()))
+        payload = json.loads(outs["json"])
+        assert payload["inner"] == inner
+        expected = [(tuple(t["lambda"]), t["mult"], "") for t in payload["terms"]]
+        rows, after = _text_rows(outs["text"], "terms:")
+        assert rows == expected
+        assert after[0] == f"constituents: {len(expected)}"
+        assert _csv_rows(outs["csv"], False) == expected
 
 
 class TestLr:
