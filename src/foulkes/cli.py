@@ -5,7 +5,11 @@ compare (both, with a diff), table (classification table for the
 depth-two shapes), lr (a single Littlewood-Richardson coefficient).
 decompose, oracle and compare read the inner shape as args.inner,
 which --dual sets to e2. compare and table --verify diff two
-expansions one way: the shapes of their difference, with both values.
+expansions through one function, _diff: the shapes of their
+difference, with both values, as JSON entries and as text rows. One
+row writer, _rows, writes every row of a text block (indented, cells
+apart by two spaces) and every CSV row (cells apart by ';'): the
+terms of decompose and oracle, the rows of table and the diff rows.
 The subcommands and their arguments are declared once, in _COMMANDS.
 main reads a well-formed argv with _read_argv, so a query loads no
 argparse; -h, usage errors and the other spellings argparse accepts
@@ -115,6 +119,24 @@ def _json_term_head(lam: Partition) -> str:
     return '{"lambda": ' + _json(lam) + ', "mult": '
 
 
+def _rows(rows, sep: str = "  ", lead: str = "  ") -> list[str]:
+    """One line per row (lam, *cells): lead, then lam as _format writes
+    it and each other cell, joined by sep. The defaults write the
+    indented rows of a text block; sep=";" and lead="" write CSV rows."""
+    return [lead + sep.join([_format(lam), *map(str, cells)]) for lam, *cells in rows]
+
+
+def _diff(
+    first: SchurExpansion, second: SchurExpansion, a: str, b: str
+) -> tuple[list[dict], list[str]]:
+    """The shapes where first and second differ, in canonical order, with
+    both values: as JSON entries {"lambda", a, b} and as text rows
+    lam  a=x  b=y. A shape on one side only has 0 on the other."""
+    diff = [(lam, first[lam], second[lam]) for lam in first - second]
+    entries = [{"lambda": lam, a: x, b: y} for lam, x, y in diff]
+    return entries, _rows((lam, f"{a}={x}", f"{b}={y}") for lam, x, y in diff)
+
+
 def _expansion_output(
     nu: Partition, inner: str, method: str, exp: SchurExpansion, fmt: str
 ) -> Output:
@@ -123,15 +145,14 @@ def _expansion_output(
         return {"nu": nu, "inner": inner, "terms": exp, "method": method}
     terms = exp.items()  # sorted once, for the rows
     if fmt == "csv":
-        return ["lambda;mult;table1_class"] + [
-            f"{_format(lam)};{mult};" for lam, mult in terms
-        ]
+        rows = _rows([(lam, mult, "") for lam, mult in terms], ";", "")
+        return ["lambda;mult;table1_class", *rows]
     return [
         f"nu: {_format(nu)}",
         f"inner: {inner}",
         f"method: {method}",
         "terms:",
-        *(f"  {_format(lam)}  {mult}" for lam, mult in terms),
+        *_rows(terms),
         f"constituents: {len(terms)}",
         f"multiplicity: {sum(m for _, m in terms)}",
         f"dimension: {total_dimension(exp)}",
@@ -156,7 +177,7 @@ def _cmd_compare(args: SimpleNamespace, timings: dict) -> tuple[int, Output]:
     _check_cap(nu, cap)  # before the formula, which can take far longer
     formula, method = _timed(timings, "formula", decompose, nu, args.method, inner)
     reference = _timed(timings, "oracle", _oracle, nu, inner, cap)
-    diff = [(lam, formula[lam], reference[lam]) for lam in formula - reference]
+    diff, rows = _diff(formula, reference, "formula", "oracle")
     code = 1 if diff else 0
     if args.format == "json":
         return code, {
@@ -166,7 +187,7 @@ def _cmd_compare(args: SimpleNamespace, timings: dict) -> tuple[int, Output]:
             "agree": not diff,
             "formula_terms": formula,
             "oracle_terms": reference,
-            "diff": [{"lambda": lam, "formula": a, "oracle": b} for lam, a, b in diff],
+            "diff": diff,
         }
     return code, [
         f"nu: {_format(nu)}",
@@ -174,7 +195,7 @@ def _cmd_compare(args: SimpleNamespace, timings: dict) -> tuple[int, Output]:
         f"method: {method}",
         f"status: {'disagree' if diff else 'agree'}",
         *(["diff:"] if diff else []),
-        *(f"  {_format(lam)}  formula={a}  oracle={b}" for lam, a, b in diff),
+        *rows,
         f"constituents: {len(formula)}",
     ]
 
@@ -187,39 +208,25 @@ def _cmd_table(args: SimpleNamespace, timings: dict) -> tuple[int, Output]:
             f"table n = {_clip_int(n)} exceeds the limit {_MAX_TABLE_N}"
         )
     table, classes = _table(kind, n)
-    rows = [
-        {"lambda": lam, "mult": mult, "class": classes[lam]}
-        for lam, mult in table.items()
-    ]
+    cells = [(lam, mult, classes[lam]) for lam, mult in table.items()]
+    rows = [{"lambda": lam, "mult": m, "class": cls} for lam, m, cls in cells]
     payload: dict = {"n": n, "kind": kind, "nu": nu, "rows": rows}
-    mismatches = []
+    mismatches, diff = [], []
     if args.verify:
-        reference, _ = decompose(nu)
-        mismatches = [
-            {"lambda": lam, "table": table[lam], "formula": reference[lam]}
-            for lam in table - reference
-        ]
+        mismatches, diff = _diff(table, decompose(nu)[0], "table", "formula")
         payload.update(verified=not mismatches, mismatches=mismatches)
     code = 1 if mismatches else 0
     if args.format == "json":
         return code, payload
-    cells = [(_format(r["lambda"]), r["mult"], r["class"]) for r in rows]
     if args.format == "csv":
         header = "lambda;mult;table1_class" + (";verified" if args.verify else "")
-        verified = (";check" if mismatches else ";ok") if args.verify else ""
-        return code, [header] + [f"{lam};{m};{cls}{verified}" for lam, m, cls in cells]
-    lines = [f"n: {n}", f"kind: {kind}", f"nu: {_format(nu)}", "rows:"]
-    lines.extend(f"  {lam}  {m}  {cls}" for lam, m, cls in cells)
-    if args.verify and not mismatches:
-        lines.append(f"verified: {len(rows)}/{len(rows)}")
-    elif args.verify:
-        lines.append("verified: MISMATCH")
-        lines.extend(
-            f"  {_format(m['lambda'])}  table={m['table']}  "
-            f"formula={m['formula']}"
-            for m in mismatches
-        )
-    return code, lines
+        verified = ("check" if mismatches else "ok",) if args.verify else ()
+        return code, [header, *_rows([(*row, *verified) for row in cells], ";", "")]
+    lines = [f"n: {n}", f"kind: {kind}", f"nu: {_format(nu)}", "rows:", *_rows(cells)]
+    if args.verify:
+        size = len(cells)
+        lines.append("verified: MISMATCH" if mismatches else f"verified: {size}/{size}")
+    return code, lines + diff
 
 
 def _cmd_lr(args: SimpleNamespace, timings: dict) -> tuple[int, Output]:
