@@ -31,9 +31,9 @@ import gc
 import os
 import sys
 import time
+from collections.abc import Sequence
 from functools import cache
 from types import SimpleNamespace
-from typing import NoReturn, Sequence
 
 from .errors import FoulkesError, PartitionParseError, ResourceBoundError
 from .expansions import SchurExpansion, total_dimension
@@ -48,6 +48,11 @@ from .partitions import (
     _parse_digits,
     parse_partition,
 )
+
+# typing is not imported at run time; NoReturn is for type checkers.
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import NoReturn
 
 Output = dict | list[str]
 

@@ -26,7 +26,13 @@ the oracle uses them as they are. The strips are kept in one table per
 (m, k), a list indexed by the position of the shape in
 generate_partitions(m), whose rows _add_strip_layer fills the first
 time a column or a sum reaches that shape; it reads a row by index, so
-no shape is hashed per entry. The memos are process-global,
+no shape is hashed per entry. A row is filled on the abacus (James and
+Kerber, 2.7), with each shape one int whose set bits are its beads
+(_beads, memoized per degree in _masks): the beads that can move up k
+places are a few bit operations on the mask, the sign of each strip is
+the parity of a bit count, and the shape it makes is looked up by its
+mask in _index, which also finds the position of the shape that
+mn_character or _class_sums is given. The memos are process-global,
 foulkes.clear_caches() empties them, and a concurrent duplicate
 computation is harmless.
 """
@@ -35,9 +41,9 @@ from __future__ import annotations
 
 import operator
 from bisect import bisect_left
+from collections.abc import Iterable, Iterator, Mapping
 from functools import cache
 from math import factorial, lcm
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
 from .errors import DegreeMismatchError, NonIntegerCoefficientError
 from .partitions import (
@@ -51,6 +57,9 @@ from .partitions import (
     generate_partitions,
 )
 
+# typing is not imported at run time; the names only annotations use
+# are imported for type checkers alone.
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     from fractions import Fraction
 
@@ -108,12 +117,12 @@ class _Expansion:
         alternating sums, whose memo holds them, cancel about a fifth
         of their terms. So terms must be a dict that nothing else holds
         or touches again, as at every call: _combine's copy of self's
-        terms, the comprehensions of unary -, scaling, schur_to_powersum
-        and omega_schur, the dict literals of oracle._multiply_out, and
-        the dicts that the power-sum product, _divide_exactly,
-        lr.schur_multiply, oracle._oracle and the four builders in
-        formulas (_base, _signed_sum, phi_two_one_column_closed and
-        _table) fill.
+        terms, the comprehensions of unary -, scaling, schur_to_powersum,
+        powersum_to_schur and omega_schur, the dict literals of
+        oracle._multiply_out, and the dicts that the power-sum product,
+        _divide_exactly, lr.schur_multiply, oracle._oracle and the four
+        builders in formulas (_base, _signed_sum,
+        phi_two_one_column_closed and _table) fill.
         """
         if not all(terms.values()):
             terms = {lam: c for lam, c in terms.items() if c}
@@ -239,10 +248,28 @@ def _check_basis(basis: type, *values) -> None:
             raise TypeError(f"expected a {basis.__name__}, got {type(f).__name__}")
 
 
+def _beads(lam: Partition, n: int) -> int:
+    """The abacus of lam on n >= len(lam) beads as a bit mask: the bead
+    of row j sits at place lam[j] - j + n - 1, so the empty rows past
+    len(lam) fill places 0 .. n - len(lam) - 1."""
+    mask = (1 << (n - len(lam))) - 1
+    for j, part in enumerate(lam):
+        mask |= 1 << (part - j + n - 1)
+    return mask
+
+
 @cache
-def _position(n: int) -> dict[Partition, int]:
-    """Index of every partition of n in generate_partitions(n)."""
-    return {lam: i for i, lam in enumerate(generate_partitions(n))}
+def _masks(n: int) -> tuple[int, ...]:
+    """The bead mask on n beads (_beads) of every partition of n, in
+    the order of generate_partitions(n)."""
+    return tuple([_beads(lam, n) for lam in generate_partitions(n)])
+
+
+@cache
+def _index(n: int) -> dict[int, int]:
+    """Position in generate_partitions(n) of every partition of n, keyed
+    by its bead mask on n beads."""
+    return {mask: i for i, mask in enumerate(_masks(n))}
 
 
 # The +1 positions, then the -1 positions, of one row of strips.
@@ -251,34 +278,39 @@ _StripRow = tuple[tuple[int, ...], tuple[int, ...]]
 
 def _add_strips(rho: Partition, k: int) -> _StripRow:
     """The shapes rho plus a k-cell border strip, as two tuples of
-    positions: those of sign +1, then those of sign -1.
+    positions in generate_partitions(|rho| + k): those of sign +1, then
+    those of sign -1 (_strip_row of the bead mask of rho)."""
+    m = sum(rho)
+    return _strip_row(_beads(rho, m), m, k)
 
-    On beta numbers (here rho[j] - j, strictly decreasing, over rho
-    padded with k zeros) a strip added is a bead moved up by k onto a
-    free place. The bead of row idx lands at row t, the number of beads
-    above its new place: rows t..idx-1 each gain a cell, row t holds the
-    moved bead, and the sign is (-1)^(idx - t), the beads jumped.
-    Positions index generate_partitions(|rho| + k). Never empty: the
-    bead of the first padded row can always move up.
+
+def _strip_row(mask: int, m: int, k: int) -> _StripRow:
+    """_add_strips of the partition of m whose bead mask on m beads is
+    mask.
+
+    On the abacus of n = m + k beads, where the mask gains k empty
+    rows at the bottom, a k-cell border strip added is a bead at place
+    b moved up to the free place b + k: the beads that can move are the
+    set bits of mask & ~(mask >> k). The sign is (-1) to the number of
+    beads jumped, those at places b + 1 .. b + k - 1, and the new mask,
+    which has n beads for a shape of n cells, is looked up in
+    _index(n). The beads are walked from the highest place down, so
+    each tuple lists its shapes by the row of the bead moved, top row
+    first. Never empty: the bead of the first empty row can always move
+    up.
     """
-    padded = rho + (0,) * k
-    beads = [part - j for j, part in enumerate(padded)]
-    position = _position(sum(rho) + k)
+    n = m + k
+    mask = mask << k | ((1 << k) - 1)
+    index = _index(n)
+    jumped = (1 << (k - 1)) - 1
+    move = 1 | 1 << k
     rows: tuple[list[int], list[int]] = ([], [])
-    for idx, bead in enumerate(beads):
-        top = bead + k
-        t = idx
-        while t and beads[t - 1] < top:
-            t -= 1
-        if t and beads[t - 1] == top:
-            continue
-        lam = (
-            rho[:t]
-            + (top + t,)
-            + tuple(part + 1 for part in padded[t:idx])
-            + rho[idx + 1 :]
-        )
-        rows[(idx - t) % 2].append(position[lam])
+    free = mask & ~(mask >> k)
+    while free:
+        b = free.bit_length() - 1
+        free ^= 1 << b
+        odd = ((mask >> (b + 1)) & jumped).bit_count() & 1
+        rows[odd].append(index[mask ^ move << b])
     return tuple(rows[0]), tuple(rows[1])
 
 
@@ -305,7 +337,7 @@ def _add_strip_layer(
         if value:
             row = table[j]
             if row is None:
-                row = table[j] = _add_strips(generate_partitions(m)[j], k)
+                row = table[j] = _strip_row(_masks(m)[j], m, k)
             plus, minus = row
             for i in plus:
                 out[i] += value
@@ -350,7 +382,7 @@ def mn_character(lam: Iterable[int], mu: Iterable[int]) -> int:
     n = sum(lam)
     if n != sum(mu):
         raise DegreeMismatchError(f"|{_clip_parts(lam)}| != |{_clip_parts(mu)}|")
-    return _chi_at(mu, _position(n)[lam])
+    return _chi_at(mu, _index(n)[_beads(lam, n)])
 
 
 def schur_to_powersum(nu: Iterable[int]) -> PowerSumExpansion:
@@ -380,7 +412,7 @@ def _class_sums(nu: Partition) -> tuple[tuple[Partition, int], ...]:
     with chi^nu_mu != 0 and its numerator chi^nu_mu * |nu|! / z_mu, the
     character value times the size of the class mu."""
     n = sum(nu)
-    i = _position(n)[nu]
+    i = _index(n)[_beads(nu, n)]
     denom = factorial(n)
     out = []
     for mu in generate_partitions(n):
@@ -417,7 +449,8 @@ def powersum_to_schur(f: PowerSumExpansion) -> SchurExpansion:
     The coefficient of s_lam is the sum of f(mu) * chi^lam_mu. It is
     computed in integers: every f(mu) is scaled by the lcm D of their
     denominators and one exact division by D ends each integer total.
-    An f whose coefficients are ints, as the oracle passes, has D = 1.
+    An f whose coefficients are ints, as the oracle passes, has D = 1,
+    and its non-zero totals are wrapped as they are, with no division.
     Since p_mu = p_mu[0] * p_mu[1:], the terms are grouped by their
     largest part r: the scaled columns of their rests mu[1:] (degree
     n - r) are summed first, and every non-zero entry of that sum then
@@ -448,7 +481,12 @@ def powersum_to_schur(f: PowerSumExpansion) -> SchurExpansion:
             for j, ch in zip(*_chi(rest)):
                 inner[j] += coeff * ch
         _add_strip_layer(enumerate(inner), n - r, r, totals)
-    return _divide_exactly(zip(generate_partitions(n), totals), denom)
+    shapes = generate_partitions(n)
+    if denom == 1:
+        return SchurExpansion._trusted(
+            {shapes[i]: total for i, total in enumerate(totals) if total}
+        )
+    return _divide_exactly(zip(shapes, totals), denom)
 
 
 # Conjugates of the shapes omega_schur has met. It fills lazily: a table

@@ -45,8 +45,8 @@ method takes the first method whose rule nu meets.
 from __future__ import annotations
 
 import operator
+from collections.abc import Iterable
 from functools import cache
-from typing import Iterable
 
 from .errors import InvalidShapeError, UnsupportedShapeError
 from .expansions import SchurExpansion, omega_schur

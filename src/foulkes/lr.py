@@ -40,8 +40,8 @@ peaks at 18.4 MB RSS (Python 3.11).
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from functools import cache
-from typing import Iterator
 
 from .expansions import SchurExpansion, _check_basis
 from .partitions import Partition, as_partition

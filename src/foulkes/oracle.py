@@ -17,9 +17,9 @@ relation stays testable.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from functools import cache
 from math import factorial
-from typing import Iterable
 
 from .errors import ResourceBoundError
 from .expansions import (
@@ -33,14 +33,14 @@ from .partitions import Partition, _as_size, _clip_int, as_partition
 
 # Cap on |nu| for oracle runs. The first call at a size n fills the
 # character columns it needs, those of the power-sum terms of 2n with
-# the largest part taken out, about 1.4-3.4x the time and 1.2-1.6x the
-# memory per step (cold s_(n)[s_2]: 34 ms at n = 9, 56 ms at 10, 0.19 s
-# at 11, 0.26 s at 12, and 29 MB max RSS for s2 then e2 at 12, on a
-# 2-core VM whose speed drifts by up to 2x, Python 3.11.7); a later
-# call of that size adds the columns it still lacks. The bench golden
-# table pins exit 3 for the oracle queries at |nu| = 10, so the cap
-# stays at 9. Callers can raise it explicitly (the CLI reads
-# FOULKES_MAX_N).
+# the largest part taken out, about 1.8-2x the time and 1.1-1.3x the
+# max RSS per step (cold s_(n)[s_2]: 15 ms at n = 9, 31 ms at 10, 60 ms
+# at 11, 0.11 s at 12, and 26 MB max RSS for s2 then e2 at 12, medians
+# of 7 fresh processes on a 2-core VM whose speed drifts by up to 2x,
+# Python 3.11.7); a later call of that size adds the columns it still
+# lacks. The bench golden table pins exit 3 for the oracle queries at
+# |nu| = 10, so the cap stays at 9. Callers can raise it explicitly
+# (the CLI reads FOULKES_MAX_N).
 DEFAULT_MAX_WEIGHT = 9
 
 

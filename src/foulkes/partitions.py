@@ -11,8 +11,8 @@ from __future__ import annotations
 import math
 import operator
 from collections import Counter
+from collections.abc import Iterable, Sequence
 from functools import cache
-from typing import Iterable, Sequence
 
 from .errors import (
     EmptyIncludeSetError,

@@ -698,6 +698,23 @@ def test_import_loads_no_fraction_or_json_module():
     assert proc.stdout == "\n"
 
 
+def test_import_loads_no_typing_module():
+    # the modules take their abstract types from collections.abc and
+    # import annotation-only names under TYPE_CHECKING alone, so typing
+    # (and the re and enum it loads) stays out of a cold start; -S keeps
+    # site hooks from importing it first
+    src = str(Path(foulkes.__file__).resolve().parents[1])
+    code = "import sys, foulkes.cli\nprint('typing' in sys.modules)\n"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert proc.stdout == "False\n"
+
+
 # Every query the benchmark workloads generate, with its exit code.
 GOLDEN = json.loads(
     (Path(__file__).resolve().parents[1] / "bench" / "golden.json").read_text()

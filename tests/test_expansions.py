@@ -23,7 +23,6 @@ from foulkes.expansions import (
     SchurExpansion,
     _add_strips,
     _class_sums,
-    _position,
     mn_character,
     omega_schur,
     powersum_to_schur,
@@ -92,6 +91,13 @@ def removal_character(lam, mu):
     return total
 
 
+@cache
+def _positions(n):
+    """Index of every partition of n in generate_partitions(n), keyed by
+    the partition itself, for _sorted_bead_strips."""
+    return {lam: i for i, lam in enumerate(generate_partitions(n))}
+
+
 def _sorted_bead_strips(rho, k):
     """Reference for _add_strips: move each bead up by k, re-sort the
     whole bead set, and count the beads jumped one by one. Returns the
@@ -99,7 +105,7 @@ def _sorted_bead_strips(rho, k):
     ell = len(rho) + k
     betas = [part + ell - 1 - i for i, part in enumerate(rho + (0,) * k)]
     bset = set(betas)
-    position = _position(sum(rho) + k)
+    position = _positions(sum(rho) + k)
     out = []
     for b in betas:
         top = b + k
@@ -727,6 +733,31 @@ class TestAddStrips:
                         expected[i] -= 1
                 assert column == expected, (m, k)
 
+    @pytest.mark.parametrize("total", range(15, 25))
+    def test_wide_masks_match_sorted_beads(self, total):
+        # masks of 2 * total bits, past 30 from total 16 on: the empty
+        # shape and the longest row and column, and sampled (rho, k)
+        rng = random.Random(total)
+        cases = [((), total), ((total - 1,), 1), ((1,) * (total - 1), 1)]
+        for _ in range(40):
+            k = rng.randint(1, total)
+            cases.append((rng.choice(generate_partitions(total - k)), k))
+        for rho, k in cases:
+            assert _add_strips(rho, k) == _sorted_bead_strips(rho, k), (rho, k)
+
+    @pytest.mark.parametrize("n", range(17))
+    def test_bead_masks_round_trip(self, n):
+        shapes = generate_partitions(n)
+        masks = [expansions._beads(lam, n) for lam in shapes]
+        assert len(set(masks)) == len(shapes)
+        assert expansions._masks(n) == tuple(masks)
+        assert expansions._index(n) == {mask: i for i, mask in enumerate(masks)}
+        for lam, mask in zip(shapes, masks):
+            places = [b for b in range(2 * n, -1, -1) if mask >> b & 1]
+            assert len(places) == n
+            parts = [b - (n - 1 - j) for j, b in enumerate(places)]
+            assert tuple(part for part in parts if part) == lam
+
     def test_examples(self):
         # (2, 1) plus a 3-cell strip; (2, 2, 2) moves the bead of the
         # first empty row above the bead of row 1, which grows by a cell.
@@ -843,6 +874,39 @@ class TestIntegerBasisChange:
         assert got == SchurExpansion(combo)
         assert dict(got.items()) == fraction_dot_products(f)
         assert all(type(c) is int for _, c in got.items())
+
+    def test_unit_denominator_wraps_totals(self, monkeypatch):
+        # int coefficients (and whole Fractions) have D = 1: the non-zero
+        # totals are the coefficients, with no division. p_2 + p_(1,1)
+        # is 2 s_(2); the total of s_(1,1) cancels and is left out.
+        def no_division(totals, denom):
+            raise AssertionError(f"divided by {denom}")
+
+        monkeypatch.setattr(expansions, "_divide_exactly", no_division)
+        for f in (
+            PowerSumExpansion._trusted({(2,): 1, (1, 1): 1}),
+            PowerSumExpansion({(2,): 1, (1, 1): Fraction(2, 2)}),
+        ):
+            got = powersum_to_schur(f)
+            assert got._terms == {(2,): 2}
+            assert all(type(c) is int for c in got._terms.values())
+
+    def test_larger_denominator_divides_once(self, monkeypatch):
+        divide = expansions._divide_exactly
+        calls = []
+
+        def spy(totals, denom):
+            calls.append(denom)
+            return divide(totals, denom)
+
+        monkeypatch.setattr(expansions, "_divide_exactly", spy)
+        f = PowerSumExpansion({(2,): Fraction(1, 2), (1, 1): Fraction(1, 2)})
+        assert powersum_to_schur(f)._terms == {(2,): 1}
+        assert calls == [2]
+        with pytest.raises(NonIntegerCoefficientError) as info:
+            powersum_to_schur(PowerSumExpansion({(1, 1): Fraction(1, 2)}))
+        assert str(info.value) == "coefficient of s_(2,) is 1/2"
+        assert calls == [2, 2]
 
     @pytest.mark.parametrize(
         "terms,message",
