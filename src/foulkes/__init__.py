@@ -76,16 +76,19 @@ __version__ = "0.1.0"
 def clear_caches() -> None:
     """Empty every functools.cache memo of the package's loaded modules.
 
-    That is the partition lists, the character columns, the border
-    strip tables, the integer power sums of s_nu, the
+    That is the partition lists, the character columns, the bead
+    masks with their index and the border strip tables, the integer
+    power sums of s_nu, the power-sum brackets of the oracle, the
     Littlewood-Richardson products and the shared copies of their
     shapes, the one-row and one-column bases, their factor products
     and the alternating sums over them, the conjugates omega_schur has
     met, and the command line's JSON term heads and argparse parser
     (_build_parser, built only for an argv its own reader leaves). The
-    memos are process-global and grow with the sizes asked for;
-    clearing them frees that memory and changes no result, the next
-    call only computes again.
+    memos of a module that loads on first use (the strip engine in
+    foulkes._characters) are among them once it has loaded. The memos
+    are process-global and grow with the sizes asked for; clearing
+    them frees that memory and changes no result, the next call only
+    computes again.
     """
     for name, module in list(sys.modules.items()):
         if module is not None and (name == __name__ or name.startswith(__name__ + ".")):

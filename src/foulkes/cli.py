@@ -13,7 +13,11 @@ terms of decompose and oracle, the rows of table and the diff rows.
 The subcommands and their arguments are declared once, in _COMMANDS.
 main reads a well-formed argv with _read_argv, so a query loads no
 argparse; -h, usage errors and the other spellings argparse accepts
-go to the argparse parser _build_parser makes of the same table.
+go to the argparse parser _build_parser makes of the same table, in
+foulkes._usage, which loads only then. Likewise table's handler
+imports Table 1 (foulkes._table1) and the oracle its strip engine
+(foulkes._characters) on first use, so importing this module compiles
+none of the three.
 Each subcommand returns a JSON payload or its text or CSV lines, and
 main prints them, a payload through _json, so no subcommand loads
 json. Output is deterministic: identical invocations print identical
@@ -37,7 +41,7 @@ from types import SimpleNamespace
 
 from .errors import FoulkesError, PartitionParseError, ResourceBoundError
 from .expansions import SchurExpansion, total_dimension
-from .formulas import METHODS, TABLE_NU_KINDS, _table, decompose, table_nu
+from .formulas import METHODS, TABLE_NU_KINDS, decompose, table_nu
 from .lr import lr_coefficient
 from .oracle import _check_cap, oracle_plethysm_e2, oracle_plethysm_s2
 from .partitions import (
@@ -212,6 +216,8 @@ def _cmd_table(args: SimpleNamespace, timings: dict) -> tuple[int, Output]:
         raise ResourceBoundError(
             f"table n = {_clip_int(n)} exceeds the limit {_MAX_TABLE_N}"
         )
+    from ._table1 import _table
+
     table, classes = _table(kind, n)
     cells = [(lam, mult, classes[lam]) for lam, mult in table.items()]
     rows = [{"lambda": lam, "mult": m, "class": cls} for lam, m, cls in cells]
@@ -355,67 +361,12 @@ def _read_argv(argv: Sequence[str]) -> SimpleNamespace | None:
 
 @cache
 def _build_parser():
-    """The argparse parser of _COMMANDS, built for the first argv
-    _read_argv leaves (-h, a usage error or another spelling)."""
-    import argparse
+    """The argparse parser of _COMMANDS (foulkes._usage), built for the
+    first argv _read_argv leaves (-h, a usage error or another
+    spelling)."""
+    from ._usage import build_parser
 
-    def _table_n(text: str) -> int:
-        """table's n: as type=int, in the digits 0-9 only and of any length."""
-        try:
-            return _parse_digits(text)
-        except ValueError:
-            msg = f"invalid 'int' value: {_clip(text)!r}"
-            raise argparse.ArgumentTypeError(msg) from None
-
-    class _Parser(argparse.ArgumentParser):
-        """An argparse parser whose usage errors are one line, as the
-        package's own errors are: the usage summary is left out (-h has
-        it), each argument echoed shows as _clip shows it, and the line
-        stays under 200 bytes however many arguments it echoes."""
-
-        def parse_known_args(self, args=None, namespace=None):
-            self._args = sys.argv[1:] if args is None else args  # for error
-            return super().parse_known_args(args, namespace)
-
-        def parse_args(self, args=None, namespace=None):
-            namespace, extras = self.parse_known_args(args, namespace)
-            if extras:  # argparse's own message joins them whole
-                shown = " ".join(map(_clip, extras))
-                self._exit_error("unrecognized arguments: " + shown)
-            return namespace
-
-        def error(self, message: str) -> NoReturn:
-            # argparse echoes the one argument at fault whole, as its repr:
-            # an argument, or the value of an --option=value
-            for arg in self._args:
-                for text in (arg, arg.partition("=")[2]):
-                    if len(text) > 40:
-                        message = message.replace(repr(text), repr(_clip(text)))
-            self._exit_error(message)
-
-        def _exit_error(self, message: str) -> NoReturn:
-            line = f"{self.prog}: error: {message}".replace("\n", "\\n")
-            shown = line.encode(errors="backslashreplace")
-            if len(shown) > 196:
-                line = shown[:193].decode(errors="ignore") + "..."
-            self.exit(2, line + "\n")
-
-    parser = _Parser(
-        prog="foulkes",
-        description=(
-            "Decompose the plethysms s_nu(s_(2)) and s_nu(s_(1,1)) into "
-            "Schur functions, exactly."
-        ),
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (handler, summary, positionals, options) in _COMMANDS.items():
-        command = sub.add_parser(name, help=summary)
-        for arg, kwargs in (*positionals.items(), *options.items()):
-            if "type" in kwargs:  # table's n, whose usage error names int
-                kwargs = {**kwargs, "type": _table_n}
-            command.add_argument(arg, **kwargs)
-        command.set_defaults(handler=handler)
-    return parser
+    return build_parser(_COMMANDS)
 
 
 def main(argv: Sequence[str] | None = None) -> int:

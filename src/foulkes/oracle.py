@@ -7,7 +7,10 @@ All of it runs in integers: s_nu's power sums over |nu|! and the
 brackets (p_r p_r +- p_2r) / 2 over 2^|nu|, multiplied out by the
 public power-sum product of int-valued PowerSumExpansions, so the
 public powersum_to_schur gets |nu|! 2^|nu| times the plethysm with int
-coefficients, and one exact division per s_lam ends it.
+coefficients, and one exact division per s_lam ends it. The power sums
+of s_nu and that division come from the strip engine,
+foulkes._characters, which _oracle imports when called, so importing
+this module (as the command line does) does not compile the engine.
 The only shared code with the formula side is the basic partition and
 expansion types; in particular nothing here touches the
 Littlewood-Richardson engine, and the s_(1,1) route is computed
@@ -22,13 +25,7 @@ from functools import cache
 from math import factorial
 
 from .errors import ResourceBoundError
-from .expansions import (
-    PowerSumExpansion,
-    SchurExpansion,
-    _class_sums,
-    _divide_exactly,
-    powersum_to_schur,
-)
+from .expansions import PowerSumExpansion, SchurExpansion, powersum_to_schur
 from .partitions import Partition, _as_size, _clip_int, as_partition
 
 # Cap on |nu| for oracle runs. The first call at a size n fills the
@@ -72,6 +69,8 @@ def _oracle(nu: Partition, inner: str) -> SchurExpansion:
     # becomes (p_r p_r +- p_2r) / 2. Weighting the brackets of mu by
     # c_mu 2^(n - len(mu)) gives n! 2^n times the plethysm in integer
     # power sums, whose Schur coefficients are integers too.
+    from ._characters import _class_sums, _divide_exactly
+
     sign = 1 if inner == "s2" else -1
     n = sum(nu)
     acc: dict[Partition, int] = {}

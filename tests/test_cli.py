@@ -3,6 +3,7 @@
 import ast
 import contextlib
 import gc
+import importlib.util
 import io
 import json
 import os
@@ -713,6 +714,83 @@ def test_import_loads_no_typing_module():
         check=True,
     )
     assert proc.stdout == "False\n"
+
+
+# The private modules that load on first use: the argparse fallback,
+# Table 1 with its closed forms, and the Murnaghan-Nakayama strip engine.
+LAZY_MODULES = ("foulkes._usage", "foulkes._table1", "foulkes._characters")
+
+
+# What a fresh process loads of them: argv None is import foulkes.cli
+# alone.
+FIRST_USE = [
+    (None, ()),
+    (["decompose", "7,5", "--format", "json"], ()),
+    (["decompose", "3,1", "--dual"], ()),
+    (["oracle", "4,4"], ("foulkes._characters",)),
+    (["table", "8", "--kind", "n-2,2"], ("foulkes._table1",)),
+    (["table", "8", "--kind", "n-2,2", "--verify"], ("foulkes._table1",)),
+    (["decompose", "-h"], ("foulkes._usage",)),
+    (["decompose", "3,1", "--form", "json"], ("foulkes._usage",)),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, loaded", FIRST_USE, ids=[" ".join(argv or ["import"]) for argv, _ in FIRST_USE]
+)
+def test_private_modules_load_on_first_use(argv, loaded):
+    # a fresh process runs argv as python -m foulkes.cli does; an atexit
+    # hook prints the private modules loaded by then, and whether
+    # foulkes.cli was imported by name besides __main__ (from _usage,
+    # say), which would compile and run cli.py a second time
+    assert all(importlib.util.find_spec(name) for name in LAZY_MODULES)
+    src = str(Path(foulkes.__file__).resolve().parents[1])
+    hook = (
+        "import atexit, sys\n"
+        f"atexit.register(lambda: print(*[m for m in {LAZY_MODULES!r}"
+        " if m in sys.modules], 'foulkes.cli' in sys.modules, file=sys.stderr))\n"
+    )
+    if argv is None:
+        script, by_name = "import foulkes.cli\n", True
+    else:
+        script, by_name = (
+            "import runpy\n"
+            f"sys.argv = ['foulkes', *{argv!r}]\n"
+            "runpy.run_module('foulkes.cli', run_name='__main__')\n"
+        ), False
+    proc = subprocess.run(
+        [sys.executable, "-c", hook + script],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines()[-1].split() == [*loaded, str(by_name)]
+
+
+def test_benchmark_names_resolve_after_import():
+    # bench/spans wraps the functions of TARGETS and reads the memos of
+    # MEMOS right after import foulkes.cli, before any query: each must
+    # be there by then, in the module named, a memo with cache_info
+    root = Path(__file__).resolve().parents[1]
+    script = (
+        "import foulkes.cli, sys, spans\n"
+        "for modname, names in spans.TARGETS.values():\n"
+        "    for name in names:\n"
+        "        assert callable(getattr(sys.modules[modname], name)), name\n"
+        "for modname, name in spans.MEMOS.values():\n"
+        "    assert hasattr(getattr(sys.modules[modname], name), 'cache_info'), name\n"
+        "print(sum(len(names) for _, names in spans.TARGETS.values()) * len(spans.MEMOS))\n"
+    )
+    path = os.pathsep.join([str(root / "src"), str(root / "bench")])
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) > 0
 
 
 # Every query the benchmark workloads generate, with its exit code.

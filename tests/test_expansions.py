@@ -10,7 +10,7 @@ from functools import cache
 import pytest
 from hypothesis import given, strategies as st
 
-from foulkes import expansions, formulas
+from foulkes import _characters, expansions, formulas
 from foulkes.errors import (
     DegreeMismatchError,
     InvalidShapeError,
@@ -18,11 +18,10 @@ from foulkes.errors import (
     ResourceBoundError,
     UnsupportedShapeError,
 )
+from foulkes._characters import _add_strips, _class_sums
 from foulkes.expansions import (
     PowerSumExpansion,
     SchurExpansion,
-    _add_strips,
-    _class_sums,
     mn_character,
     omega_schur,
     powersum_to_schur,
@@ -709,20 +708,20 @@ class TestAddStrips:
 
     def test_table_rows_fill_in_any_order(self):
         rng = random.Random(1409)
-        expansions._strip_table.cache_clear()
+        _characters._strip_table.cache_clear()
         for m in range(11):
             shapes = generate_partitions(m)
             for k in range(1, 11):
-                table = expansions._strip_table(m, k)
+                table = _characters._strip_table(m, k)
                 assert table == [None] * len(shapes)
                 order = list(range(len(shapes)))
                 rng.shuffle(order)
                 column = [0] * len(generate_partitions(m + k))
                 # a zero entry adds nothing and leaves its row unfilled
-                expansions._add_strip_layer([(order[0], 0)], m, k, column)
+                _characters._add_strip_layer([(order[0], 0)], m, k, column)
                 assert table[order[0]] is None and not any(column)
                 for j in order:
-                    expansions._add_strip_layer([(j, 1)], m, k, column)
+                    _characters._add_strip_layer([(j, 1)], m, k, column)
                 want = [_sorted_bead_strips(rho, k) for rho in shapes]
                 assert table == want, (m, k)
                 expected = [0] * len(column)
@@ -748,10 +747,10 @@ class TestAddStrips:
     @pytest.mark.parametrize("n", range(17))
     def test_bead_masks_round_trip(self, n):
         shapes = generate_partitions(n)
-        masks = [expansions._beads(lam, n) for lam in shapes]
+        masks = [_characters._beads(lam, n) for lam in shapes]
         assert len(set(masks)) == len(shapes)
-        assert expansions._masks(n) == tuple(masks)
-        assert expansions._index(n) == {mask: i for i, mask in enumerate(masks)}
+        assert _characters._masks(n) == tuple(masks)
+        assert _characters._index(n) == {mask: i for i, mask in enumerate(masks)}
         for lam, mask in zip(shapes, masks):
             places = [b for b in range(2 * n, -1, -1) if mask >> b & 1]
             assert len(places) == n
@@ -882,7 +881,7 @@ class TestIntegerBasisChange:
         def no_division(totals, denom):
             raise AssertionError(f"divided by {denom}")
 
-        monkeypatch.setattr(expansions, "_divide_exactly", no_division)
+        monkeypatch.setattr(_characters, "_divide_exactly", no_division)
         for f in (
             PowerSumExpansion._trusted({(2,): 1, (1, 1): 1}),
             PowerSumExpansion({(2,): 1, (1, 1): Fraction(2, 2)}),
@@ -892,14 +891,14 @@ class TestIntegerBasisChange:
             assert all(type(c) is int for c in got._terms.values())
 
     def test_larger_denominator_divides_once(self, monkeypatch):
-        divide = expansions._divide_exactly
+        divide = _characters._divide_exactly
         calls = []
 
         def spy(totals, denom):
             calls.append(denom)
             return divide(totals, denom)
 
-        monkeypatch.setattr(expansions, "_divide_exactly", spy)
+        monkeypatch.setattr(_characters, "_divide_exactly", spy)
         f = PowerSumExpansion({(2,): Fraction(1, 2), (1, 1): Fraction(1, 2)})
         assert powersum_to_schur(f)._terms == {(2,): 1}
         assert calls == [2]

@@ -14,6 +14,8 @@ import pytest
 
 import foulkes.cli
 from foulkes import (
+    _characters,
+    _table1,
     clear_caches,
     expansions,
     formulas,
@@ -196,7 +198,7 @@ class TestClosedCorollaries:
         }
         assert total_dimension(phi_hook_depth1_closed(4)) == 315
         # read off the all-even and 2-odd-distinct rows of Table 1 only
-        assert formulas._table("n-1,1", 4)[1] == {
+        assert _table1._table("n-1,1", 4)[1] == {
             (7, 1): "2-odd-distinct",
             (6, 2): "all-even",
             (5, 3): "2-odd-distinct",
@@ -236,7 +238,7 @@ class TestClosedCorollaries:
                 (_, c1), (_, c2) = cells
                 if c1 != c2 and cells not in hook_ends:
                     want.add(lam)
-            assert formulas._addable_pairs(t) == want, t
+            assert _table1._addable_pairs(t) == want, t
 
     def test_small_shapes_rejected(self):
         with pytest.raises(InvalidShapeError):
@@ -277,7 +279,7 @@ class TestTable:
 
         for n in range(11):
             for lam in generate_partitions(2 * n):
-                assert formulas._table_row(lam) == row(lam), lam
+                assert _table1._table_row(lam) == row(lam), lam
 
     @pytest.mark.parametrize(
         "kind, n",
@@ -286,7 +288,7 @@ class TestTable:
     def test_scan_matches_table_multiplicity(self, kind, n):
         # the rows that phi_hook_depth1_closed and the table command
         # read, against the public function on every partition of 2n
-        table, rows = formulas._table(kind, n)
+        table, rows = _table1._table(kind, n)
         want = {lam: table_multiplicity(lam, kind, n) for lam in generate_partitions(2 * n)}
         assert table == SchurExpansion(want)
         assert rows == {lam: table_row_class(lam) for lam in table}
@@ -304,11 +306,11 @@ class TestTable:
         # row's multiplicity where it is not zero
         want, want_rows = {}, {}
         for lam in generate_partitions(2 * n):
-            row = formulas._table_row(lam)
-            mult = formulas._row_multiplicity(lam, row, kind)
+            row = _table1._table_row(lam)
+            mult = _table1._row_multiplicity(lam, row, kind)
             if mult:
                 want[lam], want_rows[lam] = mult, row
-        table, rows = formulas._table(kind, n)
+        table, rows = _table1._table(kind, n)
         assert table == SchurExpansion(want)
         assert rows == want_rows
 
@@ -326,17 +328,17 @@ class TestTable:
         # route finds for its nu, n up to 12: never the 2-odd-equal row
         # of n-2,2, the 4-odd-two-pairs row of n-2,1,1, or the
         # 2-odd-equal and 4-odd rows of n-1,1
-        rule = formulas._row_multiplicity
+        rule = _table1._row_multiplicity
         priced, found = set(), set()
 
         def spy(lam, row, kind):
             priced.add(row)
             return rule(lam, row, kind)
 
-        monkeypatch.setattr(formulas, "_row_multiplicity", spy)
+        monkeypatch.setattr(_table1, "_row_multiplicity", spy)
         for n in range(least, 13):
-            formulas._table(kind, n)
-            found.update(map(formulas._table_row, decompose(nu(n))[0].support()))
+            _table1._table(kind, n)
+            found.update(map(_table1._table_row, decompose(nu(n))[0].support()))
         assert priced == found
 
     def test_frozen_multiplicities(self):
@@ -609,8 +611,9 @@ class TestMemos:
         assert formulas._signed_sum in memos
         assert lr._shape in memos
         assert expansions._conjugate_memo in memos
-        assert expansions._strip_table in memos
-        assert expansions._class_sums in memos
+        assert _characters._strip_table in memos
+        assert _characters._class_sums in memos
+        assert _characters._masks in memos and _characters._index in memos
         assert foulkes.cli._json_term_head in memos
         assert foulkes.cli._build_parser in memos
         assert all(memo.cache_info().currsize for memo in memos)

@@ -243,7 +243,7 @@ def imported_modules(path: Path) -> set[str]:
     return names
 
 
-@pytest.mark.parametrize("module", ["oracle.py", "expansions.py"])
+@pytest.mark.parametrize("module", ["oracle.py", "expansions.py", "_characters.py"])
 def test_oracle_route_imports_neither_lr_nor_formulas(module):
     path = Path(foulkes.__file__).with_name(module)
     for name in imported_modules(path):
