@@ -1,5 +1,5 @@
-"""The Murnaghan-Nakayama strip engine behind the oracle, loaded on
-first use.
+"""The Murnaghan-Nakayama strip engine behind the oracle and the
+power-sum basis change, loaded on first use.
 
 The strips are kept in one table per (m, k), a list indexed by the
 position of the shape in generate_partitions(m), whose rows
@@ -12,14 +12,16 @@ on the mask, the sign of each strip is the parity of a bit count, and
 the shape it makes is looked up by its mask in _index, which also
 finds the position of the shape that mn_character or _class_sums is
 given. s_nu in power sums is memoized on nu as integers over the
-common denominator |nu|! (_class_sums), and _divide_exactly ends an
-integer basis change.
+common denominator |nu|! (_class_sums). The bodies of the two basis
+changes, schur_to_powersum and powersum_to_schur, live here too, and
+_divide_exactly ends an integer basis change.
 
 expansions keeps the column memo _chi, which imports the strip step
 on a miss, and the public mn_character, powersum_to_schur and
-schur_to_powersum, each of which imports what it needs here when
-called; the oracle imports _class_sums and _divide_exactly the same
-way. So a process that runs neither the oracle nor a character never
+schur_to_powersum, each of which imports this module when called and
+runs its body here; the oracle imports _class_sums and _divide_exactly
+the same way, and calls the public powersum_to_schur. So a process
+that runs neither the oracle nor a character nor a basis change never
 compiles this module. Like the oracle, it imports neither lr nor
 formulas.
 """
@@ -29,10 +31,10 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections.abc import Iterable
 from functools import cache
-from math import factorial
+from math import factorial, lcm
 
 from .errors import DegreeMismatchError, NonIntegerCoefficientError
-from .expansions import SchurExpansion, _chi
+from .expansions import PowerSumExpansion, SchurExpansion, _check_basis, _chi
 from .partitions import (
     Partition,
     _clip_parts,
@@ -171,6 +173,48 @@ def _class_sums(nu: Partition) -> tuple[tuple[Partition, int], ...]:
         if ch:
             out.append((mu, ch * (denom // centralizer_order(mu))))
     return tuple(out)
+
+
+def schur_to_powersum(nu: Iterable[int]) -> PowerSumExpansion:
+    """The body of expansions.schur_to_powersum: _class_sums(nu) over
+    |nu|!, as Fractions."""
+    from fractions import Fraction
+
+    nu = as_partition(nu)
+    denom = factorial(sum(nu))
+    return PowerSumExpansion._trusted(
+        {mu: Fraction(c, denom) for mu, c in _class_sums(nu)}
+    )
+
+
+def powersum_to_schur(f: PowerSumExpansion) -> SchurExpansion:
+    """The body of expansions.powersum_to_schur, which describes the
+    integer totals and the grouping by largest part."""
+    _check_basis(PowerSumExpansion, f)
+    n = f.degree
+    if n is None:
+        return SchurExpansion()
+    denom = lcm(*(c.denominator for c in f._terms.values()))
+    totals = [0] * len(generate_partitions(n))
+    groups: dict[int, dict[Partition, int]] = {}
+    for mu, c in f._terms.items():
+        coeff = c.numerator * (denom // c.denominator)
+        if mu:
+            groups.setdefault(mu[0], {})[mu[1:]] = coeff
+        else:
+            totals[0] = coeff
+    for r, rests in groups.items():
+        inner = [0] * len(_strip_table(n - r, r))
+        for rest, coeff in rests.items():
+            for j, ch in zip(*_chi(rest)):
+                inner[j] += coeff * ch
+        _add_strip_layer(enumerate(inner), n - r, r, totals)
+    shapes = generate_partitions(n)
+    if denom == 1:
+        return SchurExpansion._trusted(
+            {shapes[i]: total for i, total in enumerate(totals) if total}
+        )
+    return _divide_exactly(zip(shapes, totals), denom)
 
 
 def _divide_exactly(

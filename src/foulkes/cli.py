@@ -15,9 +15,10 @@ main reads a well-formed argv with _read_argv, so a query loads no
 argparse; -h, usage errors and the other spellings argparse accepts
 go to the argparse parser _build_parser makes of the same table, in
 foulkes._usage, which loads only then. Likewise table's handler
-imports Table 1 (foulkes._table1) and the oracle its strip engine
-(foulkes._characters) on first use, so importing this module compiles
-none of the three.
+imports Table 1 (foulkes._table1), the oracle its strip engine
+(foulkes._characters), a formula's first product the LR strip kernel
+(foulkes._chains) and lr its filling count (foulkes._fillings), each on
+first use, so importing this module compiles none of the five.
 Each subcommand returns a JSON payload or its text or CSV lines, and
 main prints them, a payload through _json, so no subcommand loads
 json. Output is deterministic: identical invocations print identical

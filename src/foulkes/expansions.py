@@ -21,15 +21,16 @@ the full degree.
 
 The strip engine (the strip tables on bead masks, s_nu in power sums
 over |nu|! and the exact division that ends an integer basis change)
-lives in foulkes._characters, which loads on first use: _chi imports
-the strip step on a miss, and mn_character, schur_to_powersum and
-powersum_to_schur import what they need when called, so a process
-that only runs the closed formulas never compiles it. Columns are
-memoized here, in _chi, on the cycle type mu alone; schur_to_powersum
-divides the integer power sums of s_nu (_class_sums) out into
-Fractions and the oracle uses them as they are. The memos are
-process-global, foulkes.clear_caches() empties them, and a concurrent
-duplicate computation is harmless.
+and the bodies of the two basis changes live in foulkes._characters,
+which loads on first use: _chi imports the strip step on a miss, and
+mn_character, schur_to_powersum and powersum_to_schur stay here as
+entry points that import the module when called, so a process that
+only runs the closed formulas never compiles it. Columns are memoized
+here, in _chi, on the cycle type mu alone; schur_to_powersum divides
+the integer power sums of s_nu (_class_sums) out into Fractions and the
+oracle uses them as they are. The memos are process-global,
+foulkes.clear_caches() empties them, and a concurrent duplicate
+computation is harmless.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from __future__ import annotations
 import operator
 from collections.abc import Iterable, Iterator, Mapping
 from functools import cache
-from math import factorial, lcm
 
 from .errors import DegreeMismatchError
 from .partitions import (
@@ -284,15 +284,9 @@ def schur_to_powersum(nu: Iterable[int]) -> PowerSumExpansion:
     >>> schur_to_powersum((2, 1))
     PowerSumExpansion({(3,): -1/3, (1, 1, 1): 1/3})
     """
-    from fractions import Fraction
+    from . import _characters
 
-    from ._characters import _class_sums
-
-    nu = as_partition(nu)
-    denom = factorial(sum(nu))
-    return PowerSumExpansion._trusted(
-        {mu: Fraction(c, denom) for mu, c in _class_sums(nu)}
-    )
+    return _characters.schur_to_powersum(nu)
 
 
 def powersum_to_schur(f: PowerSumExpansion) -> SchurExpansion:
@@ -314,33 +308,9 @@ def powersum_to_schur(f: PowerSumExpansion) -> SchurExpansion:
     >>> powersum_to_schur(PowerSumExpansion({(1, 1): 1}))
     SchurExpansion({(2,): 1, (1, 1): 1})
     """
-    _check_basis(PowerSumExpansion, f)
-    n = f.degree
-    if n is None:
-        return SchurExpansion()
-    from ._characters import _add_strip_layer, _divide_exactly, _strip_table
+    from . import _characters
 
-    denom = lcm(*(c.denominator for c in f._terms.values()))
-    totals = [0] * len(generate_partitions(n))
-    groups: dict[int, dict[Partition, int]] = {}
-    for mu, c in f._terms.items():
-        coeff = c.numerator * (denom // c.denominator)
-        if mu:
-            groups.setdefault(mu[0], {})[mu[1:]] = coeff
-        else:
-            totals[0] = coeff
-    for r, rests in groups.items():
-        inner = [0] * len(_strip_table(n - r, r))
-        for rest, coeff in rests.items():
-            for j, ch in zip(*_chi(rest)):
-                inner[j] += coeff * ch
-        _add_strip_layer(enumerate(inner), n - r, r, totals)
-    shapes = generate_partitions(n)
-    if denom == 1:
-        return SchurExpansion._trusted(
-            {shapes[i]: total for i, total in enumerate(totals) if total}
-        )
-    return _divide_exactly(zip(shapes, totals), denom)
+    return _characters.powersum_to_schur(f)
 
 
 # Conjugates of the shapes omega_schur has met. It fills lazily: a table

@@ -9,8 +9,9 @@ public power-sum product of int-valued PowerSumExpansions, so the
 public powersum_to_schur gets |nu|! 2^|nu| times the plethysm with int
 coefficients, and one exact division per s_lam ends it. The power sums
 of s_nu and that division come from the strip engine,
-foulkes._characters, which _oracle imports when called, so importing
-this module (as the command line does) does not compile the engine.
+foulkes._characters, which _oracle imports when called, as
+powersum_to_schur does for its body, so importing this module (as the
+command line does) does not compile the engine.
 The only shared code with the formula side is the basic partition and
 expansion types; in particular nothing here touches the
 Littlewood-Richardson engine, and the s_(1,1) route is computed

@@ -13,6 +13,7 @@ import operator
 from collections import Counter
 from collections.abc import Iterable, Sequence
 from functools import cache
+from itertools import combinations
 
 from .errors import (
     EmptyIncludeSetError,
@@ -224,13 +225,17 @@ def irreducible_dimension(lam: Iterable[int]) -> int:
 
 
 def _dimension(lam: Partition) -> int:
-    """irreducible_dimension for a partition already checked."""
-    conj = _conjugate(lam)
-    denom = 1
-    for i, row in enumerate(lam):
-        for j in range(row):
-            denom *= row - j + conj[j] - i - 1
-    return math.factorial(sum(lam)) // denom
+    """irreducible_dimension for a partition already checked.
+
+    The hook lengths of the first column, l_i = lam_i + len(lam) - 1 - i,
+    give f^lam = n! * prod_{i < j} (l_i - l_j) / prod_i l_i!, the hook
+    length formula with each row's hooks collected into one factorial:
+    a product over pairs of rows rather than over cells.
+    """
+    k = len(lam)
+    first = [part + k - 1 - i for i, part in enumerate(lam)]
+    gaps = math.prod(a - b for a, b in combinations(first, 2))
+    return math.factorial(sum(lam)) * gaps // math.prod(map(math.factorial, first))
 
 
 def centralizer_order(mu: Iterable[int]) -> int:

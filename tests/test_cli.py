@@ -702,10 +702,25 @@ def test_import_loads_no_fraction_or_json_module():
 def test_import_loads_no_typing_module():
     # the modules take their abstract types from collections.abc and
     # import annotation-only names under TYPE_CHECKING alone, so typing
-    # (and the re and enum it loads) stays out of a cold start; -S keeps
-    # site hooks from importing it first
+    # (and the re and enum it loads) stays out of a cold start, and out
+    # of the same process once its queries have loaded every private
+    # module (decompose through the argparse fallback); -S keeps site
+    # hooks from importing it first
+    argvs = [
+        ["decompose", "3,1", "--form", "json"],
+        ["oracle", "3,1"],
+        ["lr", "2,1", "1", "1"],
+        ["table", "4", "--kind", "n-2,2"],
+    ]
     src = str(Path(foulkes.__file__).resolve().parents[1])
-    code = "import sys, foulkes.cli\nprint('typing' in sys.modules)\n"
+    code = (
+        "import contextlib, io, sys, foulkes.cli\n"
+        "print('typing' in sys.modules)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [foulkes.cli.main(argv) for argv in {argvs!r}]\n"
+        f"print(codes, *[m for m in {LAZY_MODULES!r} if m in sys.modules])\n"
+        "print('typing' in sys.modules)\n"
+    )
     proc = subprocess.run(
         [sys.executable, "-S", "-c", code],
         env=dict(os.environ, PYTHONPATH=src),
@@ -713,25 +728,41 @@ def test_import_loads_no_typing_module():
         text=True,
         check=True,
     )
-    assert proc.stdout == "False\n"
+    loaded = " ".join([str([0] * len(argvs)), *LAZY_MODULES])
+    assert proc.stdout.splitlines() == ["False", loaded, "False"]
 
 
 # The private modules that load on first use: the argparse fallback,
-# Table 1 with its closed forms, and the Murnaghan-Nakayama strip engine.
-LAZY_MODULES = ("foulkes._usage", "foulkes._table1", "foulkes._characters")
+# Table 1 with its closed forms, the Murnaghan-Nakayama strip engine
+# with the power-sum basis change, and the two Littlewood-Richardson
+# engines, the strip kernel of schur_multiply and the filling count of
+# lr_coefficient.
+LAZY_MODULES = (
+    "foulkes._usage",
+    "foulkes._table1",
+    "foulkes._characters",
+    "foulkes._chains",
+    "foulkes._fillings",
+)
 
 
-# What a fresh process loads of them: argv None is import foulkes.cli
-# alone.
+# What a fresh process loads of them, in the order of LAZY_MODULES:
+# argv None is import foulkes.cli alone. Every formula query multiplies
+# through the strip kernel, table --verify included.
 FIRST_USE = [
     (None, ()),
-    (["decompose", "7,5", "--format", "json"], ()),
-    (["decompose", "3,1", "--dual"], ()),
+    (["decompose", "7,5", "--format", "json"], ("foulkes._chains",)),
+    (["decompose", "3,1", "--dual"], ("foulkes._chains",)),
+    (["lr", "4,2", "2,1", "2,1"], ("foulkes._fillings",)),
     (["oracle", "4,4"], ("foulkes._characters",)),
+    (["compare", "3,2"], ("foulkes._characters", "foulkes._chains")),
     (["table", "8", "--kind", "n-2,2"], ("foulkes._table1",)),
-    (["table", "8", "--kind", "n-2,2", "--verify"], ("foulkes._table1",)),
+    (
+        ["table", "8", "--kind", "n-2,2", "--verify"],
+        ("foulkes._table1", "foulkes._chains"),
+    ),
     (["decompose", "-h"], ("foulkes._usage",)),
-    (["decompose", "3,1", "--form", "json"], ("foulkes._usage",)),
+    (["decompose", "3,1", "--form", "json"], ("foulkes._usage", "foulkes._chains")),
 ]
 
 

@@ -253,6 +253,23 @@ def test_oracle_route_imports_neither_lr_nor_formulas(module):
         assert parts[:1] not in (["lr"], ["formulas"]), (module, name)
 
 
+def test_lr_engines_stay_independent():
+    # the cross-checks of lr_coefficient against schur_multiply mean
+    # something only while the two engines share no code: the filling
+    # count imports neither the strip kernel nor lr, whose product path
+    # holds the kernel's memo, and the kernel takes only the shared
+    # shape copies from lr and nothing of the filling count
+    def imports(module):
+        names = imported_modules(Path(foulkes.__file__).with_name(module))
+        return [name.removeprefix("foulkes.").split(".") for name in names]
+
+    for parts in imports("_fillings.py"):
+        assert parts[0] not in ("lr", "_chains"), parts
+    for parts in imports("_chains.py"):
+        assert parts[0] != "_fillings", parts
+        assert parts[0] != "lr" or parts[1:] in ([], ["_shape"]), parts
+
+
 def test_package_imports_only_the_standard_library():
     # the package is stdlib-only: every import, lazy ones included, names
     # a standard module, __future__ or the package itself

@@ -315,6 +315,28 @@ class TestDimension:
     def test_conjugation_invariance(self, lam):
         assert irreducible_dimension(lam) == irreducible_dimension(conjugate(lam))
 
+    @pytest.mark.parametrize(
+        "lams",
+        [
+            *(generate_partitions(n) for n in range(15)),
+            [(30,), (1,) * 30, tuple(range(9, 0, -1))],
+        ],
+        ids=[*(f"n={n}" for n in range(15)), "row-column-staircase"],
+    )
+    def test_first_column_hooks_match_the_cell_hook_product(self, lams):
+        # _dimension reads only the first column's hook lengths; the
+        # reference multiplies the hook length of every cell
+        def by_cells(lam):
+            conj = _conjugate(lam)
+            denom = 1
+            for i, row in enumerate(lam):
+                for j in range(row):
+                    denom *= row - j + conj[j] - i - 1
+            return math.factorial(sum(lam)) // denom
+
+        for lam in lams:
+            assert partitions._dimension(lam) == by_cells(lam), lam
+
 
 class TestCentralizer:
     def test_examples(self):
