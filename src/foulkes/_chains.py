@@ -2,25 +2,27 @@
 loaded on first use.
 
 lr keeps the memo _product_terms, keyed on the whole product, and the
-shared shape copies of _shape; _product_terms imports this module on a
-miss, so a process that multiplies no Schur expansions (the oracle, a
-single lr coefficient, Table 1 alone) never compiles it. The kernel
-imports nothing of lr_coefficient's filling count (foulkes._fillings):
-the test suite cross-checks the two engines against each other, which
-means something only while they share no code.
+shared shape copies of _shape, through which it interns the shapes this
+kernel hands back; _product_terms imports this module on a miss, so a
+process that multiplies no Schur expansions (the oracle, a single lr
+coefficient, Table 1 alone) never compiles it. The kernel imports
+nothing of lr, nor of lr_coefficient's filling count
+(foulkes._fillings): the test suite cross-checks the two engines
+against each other, which means something only while they share no
+code.
 """
 
 from __future__ import annotations
 
-from .lr import _shape
 from .partitions import Partition
 
 
 def product_terms(
     groups: tuple[tuple[tuple[tuple[Partition, int], ...], Partition], ...]
-) -> tuple[tuple[Partition, ...], tuple[int, ...]]:
+) -> tuple[list[Partition], tuple[int, ...]]:
     """The body of lr._product_terms, which describes groups and the
-    result.
+    result: the shapes, still to be interned through lr._shape, and
+    their coefficients.
 
     For each group, counts chains a = k0 <= k1 <= ... where step i adds
     a horizontal strip of b_i cells, subject to one lattice rule:
@@ -163,4 +165,4 @@ def product_terms(
                     break
                 k += 1
     order = sorted((lam for lam, c in counts.items() if c), reverse=True)
-    return tuple(map(_shape, order)), tuple(counts[lam] for lam in order)
+    return order, tuple(counts[lam] for lam in order)

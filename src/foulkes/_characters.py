@@ -72,17 +72,10 @@ def _index(n: int) -> dict[int, int]:
 _StripRow = tuple[tuple[int, ...], tuple[int, ...]]
 
 
-def _add_strips(rho: Partition, k: int) -> _StripRow:
-    """The shapes rho plus a k-cell border strip, as two tuples of
-    positions in generate_partitions(|rho| + k): those of sign +1, then
-    those of sign -1 (_strip_row of the bead mask of rho)."""
-    m = sum(rho)
-    return _strip_row(_beads(rho, m), m, k)
-
-
 def _strip_row(mask: int, m: int, k: int) -> _StripRow:
-    """_add_strips of the partition of m whose bead mask on m beads is
-    mask.
+    """The shapes rho plus a k-cell border strip, rho the partition of m
+    whose bead mask on m beads is mask, as two tuples of positions in
+    generate_partitions(m + k): those of sign +1, then those of sign -1.
 
     On the abacus of n = m + k beads, where the mask gains k empty
     rows at the bottom, a k-cell border strip added is a bead at place
@@ -112,10 +105,10 @@ def _strip_row(mask: int, m: int, k: int) -> _StripRow:
 
 @cache
 def _strip_table(m: int, k: int) -> list[_StripRow | None]:
-    """Row j holds _add_strips(generate_partitions(m)[j], k), or None
-    until _add_strip_layer first reaches shape j. Rows fill lazily: a
-    full table of every shape would enumerate strips no column ever
-    reaches."""
+    """Row j holds the _strip_row of generate_partitions(m)[j] and k,
+    or None until _add_strip_layer first reaches shape j. Rows fill
+    lazily: a full table of every shape would enumerate strips no column
+    ever reaches."""
     return [None] * len(generate_partitions(m))
 
 
@@ -125,8 +118,8 @@ def _add_strip_layer(
     """The strip step shared by _chi and powersum_to_schur: for every
     non-zero (j, value) of column, a position j in
     generate_partitions(m), add value into out[i] for every i of the
-    plus row of _add_strips(generate_partitions(m)[j], k) and subtract
-    it for every i of the minus row, filling that row of
+    plus row of the _strip_row of generate_partitions(m)[j] and k and
+    subtract it for every i of the minus row, filling that row of
     _strip_table(m, k) the first time it is met."""
     table = _strip_table(m, k)
     for j, value in column:

@@ -11,11 +11,14 @@ partitions of 2n. The (2, 1^(n-2)) closed form lives here too.
 
 formulas keeps the public entry points table_row_class,
 table_multiplicity, phi_hook_depth1_closed and
-phi_two_one_column_closed, each of which imports this module when
-called and runs its body of the same name here, and it keeps table_nu
-and TABLE_NU_KINDS, which the command line reads at import. The table
-command imports _table in its handler. So a process that never asks
-for Table 1 or these closed forms never compiles them.
+phi_two_one_column_closed, and table_nu and TABLE_NU_KINDS, which the
+command line reads at import. Each entry point checks its arguments,
+then imports this module and calls it with the checked values: only
+table_multiplicity and phi_two_one_column_closed run a body of the same
+name here, phi_hook_depth1_closed reads _table and table_row_class
+_table_row. The table command imports _table in its handler. So a
+process that never asks for Table 1 or these closed forms never
+compiles them, and this module imports nothing of formulas.
 """
 
 from __future__ import annotations
@@ -24,13 +27,10 @@ from collections.abc import Iterable
 
 from .errors import InvalidShapeError
 from .expansions import SchurExpansion
-from .formulas import table_nu
 from .partitions import (
     Partition,
-    _as_size,
     _clip_int,
     _conjugate,
-    as_partition,
     count_even_shifts,
     distinct_part_count,
     double_hook,
@@ -39,11 +39,6 @@ from .partitions import (
     generate_partitions,
     repeated_part_count,
 )
-
-
-def phi_hook_depth1_closed(n: int) -> SchurExpansion:
-    """The body of formulas.phi_hook_depth1_closed."""
-    return _table("n-1,1", _as_size(n, "n", 2))[0]
 
 
 def _addable_pairs(t: Partition) -> set[Partition]:
@@ -73,8 +68,8 @@ def _addable_pairs(t: Partition) -> set[Partition]:
 
 
 def phi_two_one_column_closed(n: int) -> SchurExpansion:
-    """The body of formulas.phi_two_one_column_closed."""
-    n = _as_size(n, "n", 2)
+    """The body of formulas.phi_two_one_column_closed, for an n it has
+    checked."""
     acc: dict[Partition, int] = {}
     for gamma in generate_distinct_partitions(n):
         c = drop_count(gamma) - 1
@@ -87,11 +82,6 @@ def phi_two_one_column_closed(n: int) -> SchurExpansion:
     for mu in targets:
         acc[mu] = acc.get(mu, 0) + 1
     return SchurExpansion._trusted(acc)
-
-
-def table_row_class(lam: Iterable[int]) -> str:
-    """The body of formulas.table_row_class."""
-    return _table_row(as_partition(lam))
 
 
 # Table 1's rows, keyed by how often each odd part value occurs in lam,
@@ -108,17 +98,17 @@ _TABLE_ROWS = {
 
 
 def _table_row(lam: Partition) -> str:
-    """table_row_class for a partition already checked."""
+    """The body of formulas.table_row_class, for a partition it has
+    checked."""
     odd = [p for p in lam if p % 2]
     if len(odd) > 4:  # most partitions, and no row has more
         return "other"
     return _TABLE_ROWS.get(tuple(sorted(odd.count(v) for v in set(odd))), "other")
 
 
-def table_multiplicity(lam: Iterable[int], kind: str, n: int) -> int:
-    """The body of formulas.table_multiplicity."""
-    lam = as_partition(lam)
-    n = sum(table_nu(kind, n))  # checks kind and n; nu has size n
+def table_multiplicity(lam: Partition, kind: str, n: int) -> int:
+    """The body of formulas.table_multiplicity, for the partition lam,
+    the kind and the size n of its nu that it has checked."""
     if sum(lam) != 2 * n:
         raise InvalidShapeError(
             f"lam must have size {_clip_int(2 * n)}, got {_clip_int(sum(lam))}"

@@ -30,11 +30,12 @@ foulkes.clear_caches() empties them.
 
 The (n-1, 1) closed form and the table for (n-2, 1, 1) and (n-2, 2)
 are read off one per-row rule of the paper's Table 1. That rule, the
-table and the (2, 1^(n-2)) closed form live in foulkes._table1, which
+table and the (2, 1^(n-2)) closed form live in foulkes._table1.
 phi_hook_depth1_closed, phi_two_one_column_closed, table_row_class and
-table_multiplicity import when called, so a process that asks for
-none of them never compiles it. table_nu and TABLE_NU_KINDS stay
-here, since the command line reads them at import.
+table_multiplicity check their arguments here, then import it and pass
+it the checked values, so a process that asks for none of them never
+compiles it, and it needs nothing of this module. table_nu and
+TABLE_NU_KINDS stay here, since the command line reads them at import.
 
 Each alternating-sum method covers nu by one shape rule, kept in
 _SHAPE_RULES: at most two rows, at most two columns, or a hook.
@@ -194,9 +195,10 @@ def phi_hook_depth1_closed(n: int) -> SchurExpansion:
     parts of different values contributes once: the all-even and
     2-odd-distinct rows of Table 1, read off the same pass as the table.
     """
-    from . import _table1
+    n = _as_size(n, "n", 2)
+    from ._table1 import _table
 
-    return _table1.phi_hook_depth1_closed(n)
+    return _table("n-1,1", n)[0]
 
 
 def phi_two_one_column_closed(n: int) -> SchurExpansion:
@@ -208,17 +210,19 @@ def phi_two_one_column_closed(n: int) -> SchurExpansion:
     distinct columns (not at the two ends of one diagonal hook)
     contributes once, counted once no matter how many ways it arises.
     """
-    from . import _table1
+    n = _as_size(n, "n", 2)
+    from ._table1 import phi_two_one_column_closed
 
-    return _table1.phi_two_one_column_closed(n)
+    return phi_two_one_column_closed(n)
 
 
 def table_row_class(lam: Iterable[int]) -> str:
     """Classification label used by the multiplicity table: the odd
     parts of lam decide the row."""
-    from . import _table1
+    lam = as_partition(lam)
+    from ._table1 import _table_row
 
-    return _table1.table_row_class(lam)
+    return _table_row(lam)
 
 
 def table_nu(kind: str, n: int) -> Partition:
@@ -237,9 +241,11 @@ def table_multiplicity(lam: Iterable[int], kind: str, n: int) -> int:
     lam must be a partition of 2n. Partitions outside every listed
     class have multiplicity 0.
     """
-    from . import _table1
+    lam = as_partition(lam)
+    n = sum(table_nu(kind, n))  # checks kind and n; nu has size n
+    from ._table1 import table_multiplicity
 
-    return _table1.table_multiplicity(lam, kind, n)
+    return table_multiplicity(lam, kind, n)
 
 
 def omega_dual(f: SchurExpansion) -> SchurExpansion:

@@ -37,11 +37,12 @@ grows with the strip either.
 The memo of _product_terms, keyed on the whole product, stays here and
 lives as long as the process; only a miss imports the kernel. Each
 entry is compact: a tuple of shapes and a parallel tuple of int
-coefficients, where every shape is the one copy kept by _shape, which
-the kernel imports from here. schur_multiply wraps these shapes as
-they are, so its results share them too. decompose of every covered nu
-to |nu| = 12, both inners, in one process stores about 29k terms in
-127 products and peaks at 18.4 MB RSS (Python 3.11).
+coefficients, where every shape is the one copy kept by _shape, through
+which _product_terms interns the shapes the kernel hands back.
+schur_multiply wraps these shapes as they are, so its results share
+them too. decompose of every covered nu to |nu| = 12, both inners, in
+one process stores about 29k terms in 127 products and peaks at
+18.4 MB RSS (Python 3.11).
 """
 
 from __future__ import annotations
@@ -104,7 +105,8 @@ def _product_terms(
     """
     from ._chains import product_terms
 
-    return product_terms(groups)
+    shapes, coefficients = product_terms(groups)
+    return tuple(map(_shape, shapes)), coefficients
 
 
 def schur_multiply(f: SchurExpansion, g: SchurExpansion) -> SchurExpansion:

@@ -3,7 +3,6 @@
 import ast
 import contextlib
 import gc
-import importlib.util
 import io
 import json
 import os
@@ -296,6 +295,10 @@ class TestUsageErrors:
         "argv, err",
         [
             (
+                ("decompose", "2,1", "extra"),
+                "foulkes: error: unrecognized arguments: extra\n",
+            ),
+            (
                 ("decompose", "2,1", "extra1", "a\nb"),
                 "foulkes: error: unrecognized arguments: extra1 a\\nb\n",
             ),
@@ -310,11 +313,11 @@ class TestUsageErrors:
                 f"invalid choice: '{'x' * 40}' (choose from ",
             ),
         ],
-        ids=["extras", "dual-equals", "inner-40"],
+        ids=["extra", "extras", "dual-equals", "inner-40"],
     )
     def test_short_arguments_are_echoed_whole(self, capsys, argv, err):
         code, got = usage_error(capsys, *argv)
-        assert code == 2 and got.startswith(err)
+        assert code == 2 and got.startswith(err) and got.count("\n") == 1
 
 
 class TestOracle:
@@ -680,58 +683,6 @@ class TestLr:
         assert err == ""
 
 
-def test_import_loads_no_fraction_or_json_module():
-    # fractions (with decimal and numbers) and json load only on the
-    # paths that use them. -S keeps site hooks from importing any.
-    src = str(Path(foulkes.__file__).resolve().parents[1])
-    code = (
-        "import sys, foulkes.cli\n"
-        "print(*sorted({'fractions', 'decimal', 'numbers', 'json'}"
-        " & set(sys.modules)))\n"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-S", "-c", code],
-        env=dict(os.environ, PYTHONPATH=src),
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    assert proc.stdout == "\n"
-
-
-def test_import_loads_no_typing_module():
-    # the modules take their abstract types from collections.abc and
-    # import annotation-only names under TYPE_CHECKING alone, so typing
-    # (and the re and enum it loads) stays out of a cold start, and out
-    # of the same process once its queries have loaded every private
-    # module (decompose through the argparse fallback); -S keeps site
-    # hooks from importing it first
-    argvs = [
-        ["decompose", "3,1", "--form", "json"],
-        ["oracle", "3,1"],
-        ["lr", "2,1", "1", "1"],
-        ["table", "4", "--kind", "n-2,2"],
-    ]
-    src = str(Path(foulkes.__file__).resolve().parents[1])
-    code = (
-        "import contextlib, io, sys, foulkes.cli\n"
-        "print('typing' in sys.modules)\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    codes = [foulkes.cli.main(argv) for argv in {argvs!r}]\n"
-        f"print(codes, *[m for m in {LAZY_MODULES!r} if m in sys.modules])\n"
-        "print('typing' in sys.modules)\n"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-S", "-c", code],
-        env=dict(os.environ, PYTHONPATH=src),
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    loaded = " ".join([str([0] * len(argvs)), *LAZY_MODULES])
-    assert proc.stdout.splitlines() == ["False", loaded, "False"]
-
-
 # The private modules that load on first use: the argparse fallback,
 # Table 1 with its closed forms, the Murnaghan-Nakayama strip engine
 # with the power-sum basis change, and the two Littlewood-Richardson
@@ -745,58 +696,104 @@ LAZY_MODULES = (
     "foulkes._fillings",
 )
 
+# What a load row watches: the private modules; foulkes.cli, which a
+# process that runs it as __main__ must not import by name (from
+# _usage, say), as that compiles and runs cli.py a second time; and
+# standard modules. argparse (with gettext and locale) serves only -h,
+# usage errors and the spellings only it reads. No path needs json,
+# fractions (with decimal and numbers) or typing: every payload goes
+# through cli._json, the oracle runs in integers, and names only
+# annotations use are imported for type checkers alone.
+WATCHED = LAZY_MODULES + ("foulkes.cli", "argparse", "gettext", "locale", "json")
+WATCHED += ("fractions", "decimal", "numbers", "typing")
 
-# What a fresh process loads of them, in the order of LAZY_MODULES:
-# argv None is import foulkes.cli alone. Every formula query multiplies
-# through the strip kernel, table --verify included.
-FIRST_USE = [
-    (None, ()),
-    (["decompose", "7,5", "--format", "json"], ("foulkes._chains",)),
-    (["decompose", "3,1", "--dual"], ("foulkes._chains",)),
-    (["lr", "4,2", "2,1", "2,1"], ("foulkes._fillings",)),
-    (["oracle", "4,4"], ("foulkes._characters",)),
-    (["compare", "3,2"], ("foulkes._characters", "foulkes._chains")),
-    (["table", "8", "--kind", "n-2,2"], ("foulkes._table1",)),
+
+def loaded_modules(argv):
+    """Run argv in a fresh python -S process (so no site hook imports
+    anything first) as python -m foulkes.cli does, or for argv None
+    import foulkes.cli alone, with COLUMNS=80; return its exit code,
+    stdout, stderr and the set of WATCHED modules an atexit hook finds
+    loaded at its exit."""
+    src = str(Path(foulkes.__file__).resolve().parents[1])
+    hook = (
+        "import atexit, sys\n"
+        f"atexit.register(lambda: print(*[m for m in {WATCHED!r}"
+        " if m in sys.modules], file=sys.stderr))\n"
+    )
+    if argv is None:
+        script = "import foulkes.cli\n"
+    else:
+        script = (
+            "import runpy\n"
+            f"sys.argv = ['foulkes', *{argv!r}]\n"
+            "runpy.run_module('foulkes.cli', run_name='__main__')\n"
+        )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", hook + script],
+        env=dict(os.environ, PYTHONPATH=src, COLUMNS="80"),
+        capture_output=True,
+        text=True,
+    )
+    *err, report = proc.stderr.split("\n")[:-1]
+    err = "".join(line + "\n" for line in err)
+    return proc.returncode, proc.stdout, err, set(report.split())
+
+
+_FORMULA = {"foulkes._chains"}
+_ORACLE = {"foulkes._characters"}
+_TABLE = {"foulkes._table1"}
+_LR = {"foulkes._fillings"}
+_ARGPARSE = {"foulkes._usage", "argparse", "gettext", "locale"}
+
+# Each argv with its exit code and exactly the WATCHED modules it
+# loads; argv None is import foulkes.cli alone. Every formula query
+# multiplies through the strip kernel, table --verify included; only
+# -h, usage errors and the spellings only argparse reads load argparse.
+LOADS = [
+    (None, 0, {"foulkes.cli"}),
+    (["decompose", "2,1", "--format", "json"], 0, _FORMULA),
+    (["decompose", "7,5", "--format", "json"], 0, _FORMULA),
+    (["decompose", "3,1", "--dual"], 0, _FORMULA),
+    (["decompose", "3,1", "--method", "auto", "--dual", "--format", "csv"], 0, _FORMULA),
+    (["oracle", "2,1", "--format", "json"], 0, _ORACLE),
+    (["oracle", "3,1"], 0, _ORACLE),
+    (["oracle", "3,1", "--format", "json"], 0, _ORACLE),
+    (["oracle", "3,1", "--inner", "e2", "--format", "json"], 0, _ORACLE),
+    (["oracle", "4,4"], 0, _ORACLE),
+    (["compare", "3,2"], 0, _ORACLE | _FORMULA),
+    (["compare", "2,1", "--format", "json"], 0, _ORACLE | _FORMULA),
     (
-        ["table", "8", "--kind", "n-2,2", "--verify"],
-        ("foulkes._table1", "foulkes._chains"),
+        ["compare", "2,1", "--method", "two-row", "--dual", "--format", "json"],
+        0,
+        _ORACLE | _FORMULA,
     ),
-    (["decompose", "-h"], ("foulkes._usage",)),
-    (["decompose", "3,1", "--form", "json"], ("foulkes._usage", "foulkes._chains")),
+    (["table", "4", "--kind", "n-2,2"], 0, _TABLE),
+    (["table", "6", "--kind", "n-2,2", "--format", "json"], 0, _TABLE),
+    (["table", "8", "--kind", "n-2,2"], 0, _TABLE),
+    (["table", "8", "--kind", "n-2,2", "--verify"], 0, _TABLE | _FORMULA),
+    (
+        ["table", "6", "--kind", "n-2,2", "--verify", "--format", "csv"],
+        0,
+        _TABLE | _FORMULA,
+    ),
+    (["lr", "2,1", "1", "1"], 0, _LR),
+    (["lr", "4,2", "2,1", "2,1"], 0, _LR),
+    (["lr", "4,2", "2", "2,2", "--format", "json"], 0, _LR),
+    (["lr", "4,2", "2", "2,2", "--format", "text"], 0, _LR),
+    (["decompose", "-h"], 0, _ARGPARSE),
+    (["decompose", "3,1", "--form", "json"], 0, _ARGPARSE | _FORMULA),
+    (["decompose", "2,1", "extra"], 2, _ARGPARSE),
 ]
 
 
 @pytest.mark.parametrize(
-    "argv, loaded", FIRST_USE, ids=[" ".join(argv or ["import"]) for argv, _ in FIRST_USE]
+    "argv, code, loaded", LOADS, ids=[" ".join(argv or ["import"]) for argv, *_ in LOADS]
 )
-def test_private_modules_load_on_first_use(argv, loaded):
-    # a fresh process runs argv as python -m foulkes.cli does; an atexit
-    # hook prints the private modules loaded by then, and whether
-    # foulkes.cli was imported by name besides __main__ (from _usage,
-    # say), which would compile and run cli.py a second time
-    assert all(importlib.util.find_spec(name) for name in LAZY_MODULES)
-    src = str(Path(foulkes.__file__).resolve().parents[1])
-    hook = (
-        "import atexit, sys\n"
-        f"atexit.register(lambda: print(*[m for m in {LAZY_MODULES!r}"
-        " if m in sys.modules], 'foulkes.cli' in sys.modules, file=sys.stderr))\n"
-    )
-    if argv is None:
-        script, by_name = "import foulkes.cli\n", True
-    else:
-        script, by_name = (
-            "import runpy\n"
-            f"sys.argv = ['foulkes', *{argv!r}]\n"
-            "runpy.run_module('foulkes.cli', run_name='__main__')\n"
-        ), False
-    proc = subprocess.run(
-        [sys.executable, "-c", hook + script],
-        env=dict(os.environ, PYTHONPATH=src),
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stderr.splitlines()[-1].split() == [*loaded, str(by_name)]
+def test_loads(argv, code, loaded):
+    got_code, out, err, got = loaded_modules(argv)
+    assert (got_code, got) == (code, loaded), err
+    if not code:
+        assert (err, bool(out)) == ("", argv is not None)
 
 
 def test_benchmark_names_resolve_after_import():
@@ -889,60 +886,6 @@ class TestJsonBytes:
         out = cli._expansion_output((), "s2", "one-row", SchurExpansion(), "json")
         payload = {"nu": [], "inner": "s2", "terms": [], "method": "one-row"}
         assert cli._json(out) == json.dumps(payload)
-
-
-@pytest.mark.parametrize("command", ["decompose", "oracle"])
-def test_json_output_loads_no_json_module(command):
-    # -S keeps site hooks from importing json before the CLI runs
-    src = str(Path(foulkes.__file__).resolve().parents[1])
-    code = (
-        "import sys, foulkes.cli\n"
-        f"foulkes.cli.main([{command!r}, '2,1', '--format', 'json'])\n"
-        "print('json' in sys.modules)\n"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-S", "-c", code],
-        env=dict(os.environ, PYTHONPATH=src),
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    line, loaded = proc.stdout.splitlines()
-    assert line.startswith('{"nu": [2, 1], ')
-    assert loaded == "False"
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["decompose", "2,1", "--format", "json"],
-        ["oracle", "3,1", "--format", "json"],
-        ["compare", "2,1", "--format", "json"],
-        ["table", "6", "--kind", "n-2,2", "--format", "json"],
-        ["lr", "4,2", "2", "2,2", "--format", "json"],
-    ],
-    ids=" ".join,
-)
-def test_json_commands_load_no_fraction_or_json_module(argv):
-    # the oracle runs in integers and every payload goes through cli._json,
-    # so no subcommand needs fractions, decimal or json; -S keeps site
-    # hooks from importing any of them before the CLI runs
-    src = str(Path(foulkes.__file__).resolve().parents[1])
-    code = (
-        "import sys, foulkes.cli\n"
-        f"code = foulkes.cli.main({argv!r})\n"
-        "print(code, *sorted({'fractions', 'decimal', 'json'} & set(sys.modules)))\n"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-S", "-c", code],
-        env=dict(os.environ, PYTHONPATH=src),
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    line, status = proc.stdout.splitlines()
-    assert line.startswith("{")
-    assert status == "0"  # exit code 0 and none of the three modules
 
 
 _ROW_CLASSES = (
@@ -1324,69 +1267,6 @@ def test_help_prints_the_pinned_bytes(capsys, monkeypatch, command):
         cli.main([*command.split(), "-h"])
     captured = capsys.readouterr()
     assert (exc.value.code, captured.out, captured.err) == (0, _HELP[command], "")
-
-
-def _run_isolated(argv):
-    """Run cli.main(argv) in a fresh -S interpreter (so no site hook
-    imports anything first); return its exit code, stdout, stderr and
-    which of argparse, gettext and locale it loaded."""
-    src = str(Path(foulkes.__file__).resolve().parents[1])
-    code = (
-        "import sys, foulkes.cli\n"
-        "try:\n"
-        f"    code = foulkes.cli.main({argv!r})\n"
-        "except SystemExit as exc:\n"
-        "    code = exc.code\n"
-        "loaded = sorted({'argparse', 'gettext', 'locale'} & set(sys.modules))\n"
-        "print(code, *loaded, file=sys.stderr)\n"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-S", "-c", code],
-        env=dict(os.environ, PYTHONPATH=src, COLUMNS="80"),
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    *err, status = proc.stderr.split("\n")[:-1]
-    code, *loaded = status.split(" ")
-    return int(code), proc.stdout, "".join(line + "\n" for line in err), loaded
-
-
-# Each subcommand with every one of its options spelled in full.
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["decompose", "3,1", "--method", "auto", "--dual", "--format", "csv"],
-        ["oracle", "3,1", "--inner", "e2", "--format", "json"],
-        ["compare", "2,1", "--method", "two-row", "--dual", "--format", "json"],
-        ["table", "6", "--kind", "n-2,2", "--verify", "--format", "csv"],
-        ["lr", "4,2", "2", "2,2", "--format", "text"],
-    ],
-    ids=" ".join,
-)
-def test_well_formed_query_loads_no_argparse(argv):
-    code, out, err, loaded = _run_isolated(argv)
-    assert (code, err, loaded) == (0, "", [])
-    assert out
-
-
-@pytest.mark.parametrize(
-    "argv, code, out, err",
-    [
-        (
-            ["decompose", "2,1", "extra"],
-            2,
-            "",
-            "foulkes: error: unrecognized arguments: extra\n",
-        ),
-        (["decompose", "-h"], 0, _HELP["decompose"], ""),
-    ],
-    ids=["usage-error", "help"],
-)
-def test_usage_error_and_help_load_argparse(argv, code, out, err):
-    got_code, got_out, got_err, loaded = _run_isolated(argv)
-    assert (got_code, got_out, got_err) == (code, out, err)
-    assert "argparse" in loaded
 
 
 # A golden query of each subcommand and of each exit code, and a usage

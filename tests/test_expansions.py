@@ -18,7 +18,7 @@ from foulkes.errors import (
     ResourceBoundError,
     UnsupportedShapeError,
 )
-from foulkes._characters import _add_strips, _class_sums
+from foulkes._characters import _class_sums
 from foulkes.expansions import (
     PowerSumExpansion,
     SchurExpansion,
@@ -98,9 +98,10 @@ def _positions(n):
 
 
 def _sorted_bead_strips(rho, k):
-    """Reference for _add_strips: move each bead up by k, re-sort the
-    whole bead set, and count the beads jumped one by one. Returns the
-    positions of sign +1, then those of sign -1, as _add_strips does."""
+    """Reference for the strip rows of _characters._strip_row: move each
+    bead up by k, re-sort the whole bead set, and count the beads jumped
+    one by one. Returns the positions of sign +1, then those of sign -1,
+    as _strip_row does."""
     ell = len(rho) + k
     betas = [part + ell - 1 - i for i, part in enumerate(rho + (0,) * k)]
     bset = set(betas)
@@ -700,11 +701,16 @@ class TestHugeIntMessages:
 
 
 class TestAddStrips:
+    @staticmethod
+    def strips(rho, k):
+        m = sum(rho)
+        return _characters._strip_row(_characters._beads(rho, m), m, k)
+
     @pytest.mark.parametrize("total", range(1, 15))
     def test_matches_sorted_beads(self, total):
         for k in range(1, total + 1):
             for rho in generate_partitions(total - k):
-                assert _add_strips(rho, k) == _sorted_bead_strips(rho, k), (rho, k)
+                assert self.strips(rho, k) == _sorted_bead_strips(rho, k), (rho, k)
 
     def test_table_rows_fill_in_any_order(self):
         rng = random.Random(1409)
@@ -742,7 +748,7 @@ class TestAddStrips:
             k = rng.randint(1, total)
             cases.append((rng.choice(generate_partitions(total - k)), k))
         for rho, k in cases:
-            assert _add_strips(rho, k) == _sorted_bead_strips(rho, k), (rho, k)
+            assert self.strips(rho, k) == _sorted_bead_strips(rho, k), (rho, k)
 
     @pytest.mark.parametrize("n", range(17))
     def test_bead_masks_round_trip(self, n):
@@ -761,11 +767,11 @@ class TestAddStrips:
         # (2, 1) plus a 3-cell strip; (2, 2, 2) moves the bead of the
         # first empty row above the bead of row 1, which grows by a cell.
         shapes = generate_partitions(6)
-        plus, minus = _add_strips((2, 1), 3)
+        plus, minus = self.strips((2, 1), 3)
         assert [shapes[i] for i in plus] == [(5, 1), (2, 1, 1, 1, 1)]
         assert [shapes[i] for i in minus] == [(3, 3), (2, 2, 2)]
         shapes = generate_partitions(3)
-        plus, minus = _add_strips((), 3)
+        plus, minus = self.strips((), 3)
         assert [shapes[i] for i in plus] == [(3,), (1, 1, 1)]
         assert [shapes[i] for i in minus] == [(2, 1)]
 
