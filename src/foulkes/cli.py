@@ -371,6 +371,13 @@ def _build_parser():
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    """Run one command line and return its exit code.
+
+    The output goes to stdout in one write. If that write fails, main
+    returns 1: quietly when the reader has gone (a broken pipe), and
+    otherwise with the one stderr line `error: cannot write output:`
+    and the system's reason, as for a full disk.
+    """
     if argv is None:
         argv = sys.argv[1:]
     args = _read_argv(argv)
@@ -391,10 +398,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         sys.stdout.write(text + "\n")
         sys.stdout.flush()
-    except BrokenPipeError:
-        # The reader went away. Point stdout at devnull so the flush at
-        # interpreter shutdown cannot raise again.
+    except OSError as exc:
+        # The reader went away, or stdout takes no more (a full disk).
+        # Point stdout at devnull so the flush at interpreter shutdown
+        # cannot raise again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if not isinstance(exc, BrokenPipeError):
+            print(f"error: cannot write output: {exc.strerror}", file=sys.stderr)
         return 1
     if getattr(args, "timings", False):
         rendered = " ".join(f"{k}={v:.6f}s" for k, v in timings.items())

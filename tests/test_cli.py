@@ -21,6 +21,7 @@ from foulkes.expansions import SchurExpansion
 from foulkes.formulas import METHODS, TABLE_NU_KINDS, decompose, table_row_class
 from foulkes.oracle import oracle_plethysm_e2, oracle_plethysm_s2
 from foulkes.partitions import generate_partitions, parse_partition
+from test_acceptance import _auto_covered
 
 DECOMPOSE_21_TEXT = """\
 nu: 2,1
@@ -832,17 +833,12 @@ GOLDEN_JSON_QUERIES = [
 ]
 
 
-def _covered(nu):
-    """Shapes the auto dispatch covers: two rows, two columns or a hook."""
-    return len(nu) <= 2 or nu[0] <= 2 or nu[1] == 1
-
-
 # From - and 1 on, whose outputs s_() and s_(2) (or s_(1,1)) have one term.
 COVERED_JSON_QUERIES = [
     ["decompose", ",".join(map(str, nu)) or "-", *dual, "--format", "json"]
     for n in range(10)
     for nu in generate_partitions(n)
-    if _covered(nu)
+    if _auto_covered(nu)
     for dual in ([], ["--dual"])
 ]
 
@@ -974,6 +970,21 @@ class TestClosedPipe:
         _, err = proc.communicate(timeout=60)
         assert proc.returncode == 1
         assert err == b""
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_full_device_exits_1_with_one_line(self):
+        src = str(Path(foulkes.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "foulkes.cli", "decompose", "2,1"],
+                stdout=full,
+                stderr=subprocess.PIPE,
+                env=env,
+                timeout=60,
+            )
+        assert proc.returncode == 1
+        assert proc.stderr == b"error: cannot write output: No space left on device\n"
 
 
 # Pieces of a partition token: small parts and repeats, the empty

@@ -43,7 +43,7 @@ from foulkes.partitions import (
     generate_partitions,
     irreducible_dimension,
 )
-from test_partitions import conjugate_by_rows
+from test_partitions import conjugate_by_rows, partitions_of
 
 # Character tables of S3 and S4, rows and columns both in canonical
 # (reverse-lexicographic) order.  These match the standard printed
@@ -118,12 +118,6 @@ def _sorted_bead_strips(rho, k):
     return tuple(i for i, odd in out if not odd), tuple(i for i, odd in out if odd)
 
 
-def partitions_of(max_n):
-    return st.integers(0, max_n).flatmap(
-        lambda n: st.sampled_from(list(generate_partitions(n)))
-    )
-
-
 class TestSchurExpansion:
     def test_merges_and_prunes(self):
         f = SchurExpansion([((2, 1), 1), ((2, 1), 2), ((3,), 0)])
@@ -193,37 +187,68 @@ class TestSchurExpansion:
         assert a != SchurExpansion({(3, 1): 1})
 
 
-def schur_dicts(n):
+BASES = [
+    pytest.param(SchurExpansion, int, id="schur"),
+    pytest.param(PowerSumExpansion, Fraction, id="powersum"),
+]
+
+# per basis, the coefficients of its sample dicts and the scalars that
+# scale them
+SAMPLES = {
+    SchurExpansion: (st.integers(-3, 3), st.integers(-3, 3)),
+    PowerSumExpansion: (
+        st.fractions(-3, 3, max_denominator=6),
+        st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=4)),
+    ),
+}
+
+
+def sample_dicts(n, coefficients=st.integers(-3, 3)):
+    """Up to six terms, each a partition of n with its coefficient."""
     return st.dictionaries(
-        st.sampled_from(list(generate_partitions(n))), st.integers(-3, 3), max_size=6
+        st.sampled_from(generate_partitions(n)), coefficients, max_size=6
     )
 
 
 class TestTrustedArithmetic:
-    """+, -, unary -, scaling and omega_schur skip revalidation; each
-    must still equal the validating constructor on the same dict."""
+    """_trusted, +, -, unary -, scaling and omega_schur (Schur) or the
+    product (power sums) skip revalidation; each must still equal the
+    validating constructor on the same plain dict arithmetic."""
 
-    @given(
-        st.integers(0, 6).flatmap(lambda n: st.tuples(schur_dicts(n), schur_dicts(n))),
-        st.integers(-3, 3),
-    )
-    def test_matches_validating_constructor(self, dicts, k):
-        da, db = dicts
-        a, b = SchurExpansion(da), SchurExpansion(db)
+    @pytest.mark.parametrize("cls, coefficient_type", BASES)
+    @given(data=st.data())
+    def test_matches_validating_constructor(self, cls, coefficient_type, data):
+        coefficients, scalars = SAMPLES[cls]
+        n = data.draw(st.integers(0, 6))
+        da = data.draw(sample_dicts(n, coefficients))
+        db = data.draw(sample_dicts(n, coefficients))
+        k = data.draw(scalars)
+        a, b = cls(da), cls(db)
         keys = set(da) | set(db)
+        if cls is SchurExpansion:
+            last = omega_schur(a), {conjugate(lam): c for lam, c in da.items()}
+        else:
+            last = a * b, [
+                (tuple(sorted(m1 + m2, reverse=True)), c1 * c2)
+                for m1, c1 in da.items()
+                for m2, c2 in db.items()
+            ]
         cases = [
+            # _trusted keeps the dict it is given, so it gets a copy
+            (cls._trusted(dict(da)), da),
             (a + b, {lam: da.get(lam, 0) + db.get(lam, 0) for lam in keys}),
             (a - b, {lam: da.get(lam, 0) - db.get(lam, 0) for lam in keys}),
             (-a, {lam: -c for lam, c in da.items()}),
             (k * a, {lam: k * c for lam, c in da.items()}),
             (a * k, {lam: k * c for lam, c in da.items()}),
-            (omega_schur(a), {conjugate(lam): c for lam, c in da.items()}),
+            last,
         ]
         for got, expected in cases:
-            want = SchurExpansion(expected)
+            want = cls(expected)
             assert got == want
             assert got.items() == want.items()
             assert got.degree == want.degree
+            assert all(type(c) is coefficient_type for _, c in got.items())
 
     def test_cancelling_sum_leaves_no_zero_key(self):
         f = SchurExpansion({(2,): 1, (1, 1): 2})
@@ -391,72 +416,6 @@ class TestPowerSumExpansion:
         f = PowerSumExpansion({(2,): Fraction(1, 2), (1, 1): Fraction(-1, 2)})
         g = PowerSumExpansion({(3,): Fraction(1, 3), (1, 1, 1): Fraction(1, 6)})
         assert f * g == g * f
-
-    @given(
-        st.integers(0, 6).flatmap(
-            lambda n: st.dictionaries(
-                st.sampled_from(list(generate_partitions(n))),
-                st.fractions(-3, 3, max_denominator=6),
-                max_size=6,
-            )
-        )
-    )
-    def test_trusted_matches_validating_constructor(self, d):
-        # _trusted keeps the dict it is given, so it gets a copy of d
-        got, want = PowerSumExpansion._trusted(dict(d)), PowerSumExpansion(d)
-        assert got == want
-        assert got.items() == want.items()
-        assert got.degree == want.degree
-
-
-def powersum_dicts(n):
-    return st.dictionaries(
-        st.sampled_from(list(generate_partitions(n))),
-        st.fractions(-3, 3, max_denominator=6),
-        max_size=6,
-    )
-
-
-class TestTrustedPowerSumArithmetic:
-    """Power-sum +, -, unary -, scaling and the product skip
-    revalidation; each must still equal the validating constructor on
-    the same plain dict arithmetic."""
-
-    @given(
-        st.integers(0, 5).flatmap(
-            lambda n: st.tuples(powersum_dicts(n), powersum_dicts(n))
-        ),
-        st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=4)),
-    )
-    def test_matches_validating_constructor(self, dicts, k):
-        df, dg = dicts
-        f, g = PowerSumExpansion(df), PowerSumExpansion(dg)
-        keys = set(df) | set(dg)
-        product = [
-            (tuple(sorted(m1 + m2, reverse=True)), c1 * c2)
-            for m1, c1 in df.items()
-            for m2, c2 in dg.items()
-        ]
-        cases = [
-            (f + g, {mu: df.get(mu, 0) + dg.get(mu, 0) for mu in keys}),
-            (f - g, {mu: df.get(mu, 0) - dg.get(mu, 0) for mu in keys}),
-            (-f, {mu: -c for mu, c in df.items()}),
-            (k * f, {mu: k * c for mu, c in df.items()}),
-            (f * k, {mu: k * c for mu, c in df.items()}),
-            (f * g, product),
-        ]
-        for got, expected in cases:
-            want = PowerSumExpansion(expected)
-            assert got == want
-            assert got.items() == want.items()
-            assert got.degree == want.degree
-            assert all(isinstance(c, Fraction) for _, c in got.items())
-
-
-BASES = [
-    pytest.param(SchurExpansion, int, id="schur"),
-    pytest.param(PowerSumExpansion, Fraction, id="powersum"),
-]
 
 
 @pytest.mark.parametrize("cls, coefficient_type", BASES)
@@ -870,7 +829,7 @@ class TestIntegerBasisChange:
                 {mu: Fraction(c, denom) for mu, c in sums}
             )
 
-    @given(st.integers(0, 8).flatmap(schur_dicts))
+    @given(st.integers(0, 8).flatmap(sample_dicts))
     def test_recovers_integer_combination(self, combo):
         f = PowerSumExpansion()
         for nu, k in combo.items():
